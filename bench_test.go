@@ -310,3 +310,51 @@ func BenchmarkSendDispatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBoot measures the host cost of booting a system from the
+// kernel sources and shutting it down: heap mapping, genesis, the
+// kernel file-in (whose compiles the process-wide memo serves after the
+// first boot) and the machine's processor start-up.
+func BenchmarkBoot(b *testing.B) {
+	configs := []struct {
+		name   string
+		config func() core.Config
+	}{
+		{"baseline", core.BaselineConfig},
+		{"ms", core.DefaultConfig},
+		{"msplus", core.MSPlusConfig},
+	}
+	for _, cfg := range configs {
+		cfg := cfg
+		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys, err := core.NewSystem(cfg.config())
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Shutdown()
+			}
+		})
+	}
+}
+
+// BenchmarkCloneFromCheckpoint measures one msserve tenant
+// materialization: a fresh system cloned from an in-memory checkpoint
+// of a booted image, then shut down.
+func BenchmarkCloneFromCheckpoint(b *testing.B) {
+	sys := benchSystem(b, bench.StandardStates()[1])
+	cp, err := sys.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clone, err := core.NewFromCheckpoint(1, cp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		clone.Shutdown()
+	}
+}

@@ -137,6 +137,7 @@ func runConcMarkOnce(keep int, concMark bool) (heap.Stats, *trace.LatencyMetrics
 		ConcMark:      concMark,
 	}
 	h := heap.New(m, cfg)
+	defer h.Release()
 	round := 0
 	m.Start(0, func(p *firefly.Proc) { concMarkMutator(h, p, keep, &round) })
 	m.Start(1, func(p *firefly.Proc) { concMarkCollector(h, p, &round) })

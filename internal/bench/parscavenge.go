@@ -102,6 +102,7 @@ func runParScavOnce(procs int, parScav bool) (heap.Stats, trace.HistSnapshot, er
 		ParScavenge:   parScav,
 	}
 	h := heap.New(m, cfg)
+	defer h.Release()
 	m.Start(0, func(p *firefly.Proc) { parScavWorkload(h, p) })
 	if r := m.Run(nil); r != firefly.StopAllDone {
 		return heap.Stats{}, trace.HistSnapshot{}, fmt.Errorf(

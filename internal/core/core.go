@@ -619,5 +619,9 @@ func LoadImage(processors int, r io.Reader) (*System, error) {
 	return &System{Cfg: cfg, VM: vm}, nil
 }
 
-// Shutdown stops the machine; the system is unusable afterwards.
-func (s *System) Shutdown() { s.VM.M.Shutdown() }
+// Shutdown stops the machine and returns the heap's memory; the system
+// is unusable afterwards. Calling it again does nothing.
+func (s *System) Shutdown() {
+	s.VM.M.Shutdown()
+	s.VM.H.Release()
+}

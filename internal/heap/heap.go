@@ -156,7 +156,9 @@ type Stats struct {
 type Heap struct {
 	cfg Config
 	m   *firefly.Machine
-	mem []uint64
+	mem []uint64 // words.w until Release
+	// words owns mem (see mapping.go); nil once released.
+	words *mapping
 
 	old  space
 	surv [2]space
@@ -278,14 +280,16 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 		panic("heap: configuration too small")
 	}
 	total := object.FirstFreeAddress + cfg.OldWords + 2*cfg.SurvivorWords + cfg.EdenWords
+	words := newMapping(total)
 	h := &Heap{
-		cfg: cfg,
-		m:   m,
-		par: cfg.Parallel,
-		mem: make([]uint64, total),
-		rec: m.Recorder(),
-		san: m.Sanitizer(),
-		lat: m.LatencyHists(),
+		cfg:   cfg,
+		m:     m,
+		par:   cfg.Parallel,
+		mem:   words.w,
+		words: words,
+		rec:   m.Recorder(),
+		san:   m.Sanitizer(),
+		lat:   m.LatencyHists(),
 	}
 	h.allocShards = make([]allocShard, m.NumProcs())
 	base := uint64(object.FirstFreeAddress)
@@ -324,6 +328,22 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 		h.mem[fixed.Addr()+1] = uint64(object.Invalid) // class patched at genesis
 	}
 	return h
+}
+
+// Release returns the heap's word array to the system. Call it once
+// nothing will touch the heap again (core.System.Shutdown does, after
+// the machine has stopped): a later word access is an index-out-of-range
+// panic, not a fault. Release is idempotent. A heap nobody releases
+// returns its words when the garbage collector finds it unreachable.
+//
+//msvet:atomic-excluded no mutator exists after machine shutdown: every processor goroutine has returned before Release clears h.mem
+func (h *Heap) Release() {
+	if h.words == nil {
+		return
+	}
+	h.mem = nil
+	h.words.release()
+	h.words = nil
 }
 
 // Machine returns the machine this heap charges time to.

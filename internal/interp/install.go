@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"mst/internal/bytecode"
 	"mst/internal/compiler"
@@ -127,12 +128,30 @@ func (vm *VM) materializeLit(p *firefly.Proc, l compiler.Lit) object.OOP {
 }
 
 // CompileAndInstall compiles source as a method of class and installs it
-// in the class's method dictionary, flushing the method caches. MAY GC.
+// in the class's method dictionary, flushing the method caches. The
+// compile goes through the process-wide memo (compileMemoized), so the
+// kernel file-in of every boot after the first skips the compiler.
+// MAY GC.
 func (vm *VM) CompileAndInstall(p *firefly.Proc, class object.OOP, source, category string) (object.OOP, error) {
+	return vm.compileAndInstall(p, class, source, category, true)
+}
+
+// compileAndInstall is CompileAndInstall with the memo optional: the
+// compile: primitive bypasses it, like DoIts do, so Smalltalk code (a
+// long-running server's requests) cannot grow it without bound.
+func (vm *VM) compileAndInstall(p *firefly.Proc, class object.OOP, source, category string, memo bool) (object.OOP, error) {
 	hs := vm.H.Handles(p)
 	defer hs.Close()
 	ch := hs.Add(class)
-	m, err := compiler.CompileMethod(source, vm.EnvForClass(class))
+	instVars := vm.InstVarNamesOf(class)
+	env := classEnv{vm: vm, instVars: instVars}
+	var m *compiler.Method
+	var err error
+	if memo {
+		m, err = compileMemoized(source, instVars, env)
+	} else {
+		m, err = compiler.CompileMethod(source, env)
+	}
 	if err != nil {
 		return object.Nil, err
 	}
@@ -140,6 +159,78 @@ func (vm *VM) CompileAndInstall(p *firefly.Proc, class object.OOP, source, categ
 	moH := hs.Add(mo)
 	vm.installInDict(p, ch, moH)
 	return moH.Get(), nil
+}
+
+// compileMemo holds every successful compileMemoized result for the
+// life of the process, keyed by source and the class's full inst-var
+// list. compiler.Generate reads nothing but its source and the Env's
+// two answers. InstVarIndex is fixed by the inst-var list in the key.
+// Every IsGlobal answer the compile asked for is recorded with the
+// entry and asked again on a hit; one differing answer (a lowercase
+// global defined or removed since) forces a recompile. The cached
+// Method is shared and read-only: MaterializeMethod copies its code and
+// literals into the heap.
+var compileMemo sync.Map // memoKey -> *memoEntry
+
+type memoKey struct{ source, instVars string }
+
+type memoEntry struct {
+	m       *compiler.Method
+	globals []globalAnswer
+}
+
+type globalAnswer struct {
+	name string
+	is   bool
+}
+
+// recordingEnv passes an Env through and records each distinct name's
+// IsGlobal answer.
+type recordingEnv struct {
+	compiler.Env
+	globals []globalAnswer
+}
+
+func (e *recordingEnv) IsGlobal(name string) bool {
+	is := e.Env.IsGlobal(name)
+	for _, g := range e.globals {
+		if g.name == name {
+			return is
+		}
+	}
+	e.globals = append(e.globals, globalAnswer{name, is})
+	return is
+}
+
+// compileMemoized is compiler.CompileMethod(source, env) through
+// compileMemo; instVars must be the list env resolves instance
+// variables from. Failed compiles are not cached.
+func compileMemoized(source string, instVars []string, env compiler.Env) (*compiler.Method, error) {
+	key := memoKey{source, strings.Join(instVars, " ")}
+	if v, ok := compileMemo.Load(key); ok {
+		e := v.(*memoEntry)
+		if e.validIn(env) {
+			return e.m, nil
+		}
+	}
+	rec := &recordingEnv{Env: env}
+	m, err := compiler.CompileMethod(source, rec)
+	if err != nil {
+		return nil, err
+	}
+	compileMemo.Store(key, &memoEntry{m: m, globals: rec.globals})
+	return m, nil
+}
+
+// validIn reports whether env answers every recorded IsGlobal question
+// as it was answered when e was compiled.
+func (e *memoEntry) validIn(env compiler.Env) bool {
+	for _, g := range e.globals {
+		if env.IsGlobal(g.name) != g.is {
+			return false
+		}
+	}
+	return true
 }
 
 // installInDict inserts the method into the class's method dictionary

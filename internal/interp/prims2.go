@@ -268,7 +268,7 @@ func (in *Interp) primCompile(nargs int, recv object.OOP) bool {
 	if !in.isStringy(src) || !in.isStringy(cat) {
 		return false
 	}
-	mo, err := vm.CompileAndInstall(in.p, recv, vm.GoString(src), vm.GoString(cat))
+	mo, err := vm.compileAndInstall(in.p, recv, vm.GoString(src), vm.GoString(cat), false)
 	if err != nil {
 		vm.hostMu.Lock()
 		vm.errors = append(vm.errors, "compile: "+err.Error())

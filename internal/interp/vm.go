@@ -281,7 +281,6 @@ func encodeMethodHeader(nargs, ntemps, maxStack, prim int, clean bool, sendSites
 	return object.FromInt(v)
 }
 
-func headerNumArgs(h object.OOP) int   { return int(h.Int() & 0xFF) }
 func headerNumTemps(h object.OOP) int  { return int(h.Int() >> 8 & 0xFFF) }
 func headerMaxStack(h object.OOP) int  { return int(h.Int() >> 20 & 0xFFF) }
 func headerPrim(h object.OOP) int      { return int(h.Int() >> 32 & 0xFFF) }

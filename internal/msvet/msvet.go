@@ -56,6 +56,7 @@ package msvet
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
@@ -157,6 +158,12 @@ func LoadModule(root string) ([]*Package, error) {
 		}
 		if !strings.HasSuffix(path, ".go") {
 			return nil
+		}
+		// Only the files the host build compiles: a package may split
+		// one function across build-constrained variants (the heap's
+		// mapWords), and only one variant type-checks with the rest.
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), info.Name()); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {

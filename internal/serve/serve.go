@@ -81,8 +81,9 @@ type Config struct {
 // protocol and the per-image `Session` instance — and captures the
 // checkpoint every tenant session clones from. The boot runs on the
 // production MS configuration with a right-sized old space (the kernel
-// image occupies ~17k words; the default 4M-word geometry would cost
-// 32 MB of host memory per tenant clone for nothing).
+// image occupies ~17k words). Untouched heap pages no longer cost host
+// memory, but the gated serve results are measured at this geometry
+// (its addresses and collection triggers), so it stays.
 func BootCheckpoint() (*core.Checkpoint, error) {
 	cfg := core.DefaultConfig()
 	cfg.Processors = 1
