@@ -47,10 +47,11 @@
 //	                           workload on 1..GOMAXPROCS real goroutine
 //	                           processors, wall-clock speedup vs the
 //	                           deterministic driver
-//	msbench -gate BENCH.json   regression gate: rerun the suite and
-//	                           compare against a checked-in baseline
-//	                           (exact on virtual times and counters,
-//	                           -gate-tolerance on relative host cost)
+//	msbench -gate BENCH.json   regression gate: rerun the suite and diff
+//	                           its fingerprint against a checked-in
+//	                           baseline's (exact on every deterministic
+//	                           field, 20% on relative host cost); the
+//	                           verdict goes to stderr
 //	msbench -fingerprint       print the deterministic fingerprint (the
 //	                           json report with host times zeroed); CI
 //	                           runs it twice and diffs the outputs
@@ -91,7 +92,6 @@ func main() {
 	lockgraphPath := flag.String("lockgraph", "", "with -sanitize: static lock graph JSON (msvet -lockgraph) to cross-check the observed acquisition order against")
 	parallel := flag.Bool("parallel", false, "run the true-parallel host sweep (goroutine processors, wall-clock speedup)")
 	gatePath := flag.String("gate", "", "compare a fresh run against this baseline json and fail on regression")
-	gateTol := flag.Float64("gate-tolerance", 0.20, "allowed drift in normalized host cost for -gate (fraction)")
 	fingerprint := flag.Bool("fingerprint", false, "print the deterministic fingerprint (json report, host times zeroed)")
 	all := flag.Bool("all", false, "run everything")
 	flag.Parse()
@@ -265,8 +265,10 @@ func main() {
 	if *gatePath != "" {
 		baseline, err := bench.LoadBaseline(*gatePath)
 		check(err)
-		g := bench.RunGate(baseline, report, *gatePath, *gateTol)
-		fmt.Print(g.Format())
+		// The verdict goes to stderr so that -fingerprint -gate leaves
+		// stdout pure fingerprint JSON.
+		g := bench.RunGate(baseline, report, *gatePath)
+		fmt.Fprint(os.Stderr, g.Format())
 		if !g.OK() {
 			os.Exit(1)
 		}

@@ -1,21 +1,29 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
-
-	"mst/internal/trace"
 )
 
 // The benchmark-regression gate (msbench -gate): compare a fresh run
 // against a checked-in baseline report (BENCH_prN.json). The simulator
-// is deterministic, so virtual times and every interpreter/heap counter
-// must match the baseline EXACTLY — any drift is either a real change
-// (update the baseline deliberately, in the same commit) or a bug.
+// is deterministic, so the gate diffs the two fingerprints — the
+// reports with every host-time field zeroed — leaf by leaf: every
+// virtual time, counter, histogram bucket and ablation column must
+// match the baseline EXACTLY. Any drift is either a real change
+// (update the baseline deliberately, in the same commit) or a bug. A
+// section is gated as soon as the baseline carries it.
+//
+// A mechanically refreshed baseline would carry a broken value straight
+// through that diff, so the properties the reproduction stands on are
+// checked on the fresh run itself: the concurrent marker's pause bound,
+// serve's det/parallel equivalence, and the msjit speedup floor.
 //
 // Host-side wall time is the one machine-dependent number in the
 // report, so it cannot be compared directly: CI machines and laptops
@@ -27,11 +35,15 @@ import (
 // disproportionately slower moves its normalized ratio and fails. The
 // comparison is per state, not per benchmark: individual benchmarks
 // run for a few host milliseconds, where scheduler noise on a small CI
-// machine routinely exceeds any sensible tolerance. The tolerance
-// (default 0.20) bounds how far a normalized ratio may drift from the
-// baseline's.
+// machine routinely exceeds any sensible tolerance.
 
-// GateFinding is one detected regression or mismatch.
+// GateTolerance bounds how far a state's normalized host ratio may
+// drift above the baseline's.
+const GateTolerance = 0.20
+
+// GateFinding is one detected regression or mismatch. Where is the
+// JSON path of the differing or offending report field, for example
+// table2[1].metrics.interp.sends, or the state whose host ratio drifted.
 type GateFinding struct {
 	Where  string `json:"where"`
 	Detail string `json:"detail"`
@@ -40,8 +52,8 @@ type GateFinding struct {
 // GateReport is the outcome of one gate comparison.
 type GateReport struct {
 	BaselinePath string        `json:"baseline"`
-	Tolerance    float64       `json:"tolerance"`
 	Exact        int           `json:"exact_checks"`
+	Props        int           `json:"property_checks"`
 	Host         int           `json:"host_checks"`
 	SkippedHost  int           `json:"host_checks_skipped"`
 	Findings     []GateFinding `json:"findings"`
@@ -54,23 +66,19 @@ func (g *GateReport) fail(where, format string, args ...any) {
 	g.Findings = append(g.Findings, GateFinding{Where: where, Detail: fmt.Sprintf(format, args...)})
 }
 
-// exactly compares one deterministic quantity.
-func gateExact[T comparable](g *GateReport, where, what string, base, fresh T) {
-	g.Exact++
-	if base != fresh {
-		g.fail(where, "%s: baseline %v, got %v", what, base, fresh)
-	}
-}
-
-// LoadBaseline reads a checked-in msbench JSON report.
+// LoadBaseline reads a checked-in msbench JSON report. Decoding is
+// strict: a baseline field the report schema no longer has is an
+// error, not a value that silently drops out of the gate.
 func LoadBaseline(path string) (*JSONReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("bench: gate baseline: %w", err)
 	}
 	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
 	var r JSONReport
-	if err := json.NewDecoder(f).Decode(&r); err != nil {
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("bench: gate baseline %s: %w", path, err)
 	}
 	if len(r.Table2) == 0 {
@@ -112,199 +120,46 @@ func hostRatios(r *JSONReport) map[string]float64 {
 	return raw
 }
 
-// RunGate compares a fresh report against the baseline. Deterministic
-// quantities (virtual times, interpreter and heap counters, inline-cache
-// ablation) must be bit-equal; normalized host-time ratios may drift by
-// at most tol.
-func RunGate(baseline, fresh *JSONReport, baselinePath string, tol float64) *GateReport {
-	g := &GateReport{BaselinePath: baselinePath, Tolerance: tol}
+// RunGate compares a fresh report against the baseline: the two
+// fingerprints must be equal leaf for leaf, the fresh run must hold the
+// explicit properties, and normalized host-time ratios may drift by at
+// most GateTolerance.
+func RunGate(baseline, fresh *JSONReport, baselinePath string) *GateReport {
+	g := &GateReport{BaselinePath: baselinePath}
 
-	gateExact(g, "schema", "schemaVersion", baseline.SchemaVersion, fresh.SchemaVersion)
-
-	freshStates := map[string]*JSONState{}
-	for i := range fresh.Table2 {
-		freshStates[fresh.Table2[i].State] = &fresh.Table2[i]
+	base, err := fingerprintTree(baseline)
+	if err != nil {
+		g.fail("baseline", "fingerprint: %v", err)
 	}
-	for i := range baseline.Table2 {
-		bs := &baseline.Table2[i]
-		fs, ok := freshStates[bs.State]
-		if !ok {
-			g.fail(bs.State, "state missing from fresh run")
-			continue
-		}
-		freshBenches := map[string]JSONBench{}
-		for _, b := range fs.Benches {
-			freshBenches[b.Name] = b
-		}
-		for _, bb := range bs.Benches {
-			where := bs.State + "/" + bb.Name
-			fb, ok := freshBenches[bb.Name]
-			if !ok {
-				g.fail(where, "benchmark missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "virtual_ms", bb.VirtualMS, fb.VirtualMS)
-		}
-		gateMetrics(g, bs.State, &bs.Metrics, &fs.Metrics)
+	cur, err := fingerprintTree(fresh)
+	if err != nil {
+		g.fail("fresh", "fingerprint: %v", err)
+	}
+	if g.OK() {
+		g.diff("", base, cur)
 	}
 
-	// Inline-cache ablation rows, keyed by (state, policy).
-	freshIC := map[string]*JSONICRow{}
-	for i := range fresh.InlineCache {
-		r := &fresh.InlineCache[i]
-		freshIC[r.State+"/"+r.Policy] = r
-	}
-	for i := range baseline.InlineCache {
-		br := &baseline.InlineCache[i]
-		where := "ic/" + br.State + "/" + br.Policy
-		fr, ok := freshIC[where[3:]]
-		if !ok {
-			g.fail(where, "ablation row missing from fresh run")
-			continue
-		}
-		gateExact(g, where, "virtual_ms rows", fmt.Sprint(br.Benches), fmt.Sprint(fr.Benches))
-		gateExact(g, where, "ic_fills", br.ICFills, fr.ICFills)
-		gateExact(g, where, "ic_poly_sites", br.ICPolySites, fr.ICPolySites)
-		gateExact(g, where, "ic_mega_sites", br.ICMegaSites, fr.ICMegaSites)
-	}
-
-	// Parallel-scavenge ablation rows, keyed by processor count. Every
-	// column but the derived speedup is deterministic.
-	if baseline.ParScavenge != nil {
-		freshPS := map[int]*ParScavRow{}
-		if fresh.ParScavenge != nil {
-			for i := range fresh.ParScavenge.Rows {
-				r := &fresh.ParScavenge.Rows[i]
-				freshPS[r.Procs] = r
-			}
-		}
-		for i := range baseline.ParScavenge.Rows {
-			br := &baseline.ParScavenge.Rows[i]
-			where := fmt.Sprintf("parscavenge/procs=%d", br.Procs)
-			fr, ok := freshPS[br.Procs]
-			if !ok {
-				g.fail(where, "ablation row missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "serial_scavenge_ticks", br.SerialTicks, fr.SerialTicks)
-			gateExact(g, where, "parallel_scavenge_ticks", br.ParallelTicks, fr.ParallelTicks)
-			gateExact(g, where, "scavenges", br.Scavenges, fr.Scavenges)
-			gateExact(g, where, "copied_words", br.CopiedWords, fr.CopiedWords)
-			gateExact(g, where, "steals", br.Steals, fr.Steals)
-			gateExact(g, where, "serial_pause", fmt.Sprint(br.SerialPause), fmt.Sprint(fr.SerialPause))
-			gateExact(g, where, "parallel_pause", fmt.Sprint(br.ParallelPause), fmt.Sprint(fr.ParallelPause))
-		}
-	}
-
-	// The msjit ablation, keyed by workload. The virtual columns are
-	// deterministic and compared exactly; the host-side speedup is
-	// machine-bound, so instead of comparing it to the baseline the
-	// gate holds the fresh run to the absolute floor.
-	if baseline.JIT != nil {
-		freshJIT := map[string]*JITRow{}
-		if fresh.JIT != nil {
-			for i := range fresh.JIT.Rows {
-				r := &fresh.JIT.Rows[i]
-				freshJIT[r.Workload] = r
-			}
-		}
-		for i := range baseline.JIT.Rows {
-			br := &baseline.JIT.Rows[i]
-			where := "jit/" + br.Workload
-			fr, ok := freshJIT[br.Workload]
-			if !ok {
-				g.fail(where, "ablation row missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "virtual_ms", br.VirtualMS, fr.VirtualMS)
-			gateExact(g, where, "jit_compiles", br.Compiles, fr.Compiles)
-			gateExact(g, where, "jit_deopts", br.Deopts, fr.Deopts)
-		}
-		if fresh.JIT != nil {
-			g.Host++
-			if fresh.JIT.MedianSpeedup < JITSpeedupFloor {
-				g.fail("jit/median_speedup", "template tier %.2fx, floor %.2fx",
-					fresh.JIT.MedianSpeedup, JITSpeedupFloor)
+	if fresh.ConcMark != nil {
+		for i, r := range fresh.ConcMark.Rows {
+			g.Props++
+			if r.ConcMaxPause >= r.SerialMaxPause {
+				g.fail(fmt.Sprintf("concmark.rows[%d].conc_max_pause_ticks", i),
+					"pause bound broken at keep=%d: concurrent max pause %d ticks >= serial max pause %d ticks",
+					r.Keep, r.ConcMaxPause, r.SerialMaxPause)
 			}
 		}
 	}
-
-	// The concurrent-marking ablation, keyed by live-window size. Every
-	// column is deterministic and compared exactly; on top of that, the
-	// fresh run is held to the pause-bound property itself — the
-	// concurrent marker's longest stop-the-world window must undercut
-	// the serial full-GC pause — so a scheduling change that erodes the
-	// bound fails even if someone refreshes the baseline mechanically.
-	if baseline.ConcMark != nil {
-		freshCM := map[int]*ConcMarkRow{}
-		if fresh.ConcMark != nil {
-			for i := range fresh.ConcMark.Rows {
-				r := &fresh.ConcMark.Rows[i]
-				freshCM[r.Keep] = r
-			}
-		}
-		for i := range baseline.ConcMark.Rows {
-			br := &baseline.ConcMark.Rows[i]
-			where := fmt.Sprintf("concmark/keep=%d", br.Keep)
-			fr, ok := freshCM[br.Keep]
-			if !ok {
-				g.fail(where, "ablation row missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "full_collections", br.FullCollects, fr.FullCollects)
-			gateExact(g, where, "serial_full_gc_ticks", br.SerialTicks, fr.SerialTicks)
-			gateExact(g, where, "conc_full_gc_ticks", br.ConcTicks, fr.ConcTicks)
-			gateExact(g, where, "serial_max_pause_ticks", br.SerialMaxPause, fr.SerialMaxPause)
-			gateExact(g, where, "conc_max_pause_ticks", br.ConcMaxPause, fr.ConcMaxPause)
-			gateExact(g, where, "conc_mark_cycles", br.Cycles, fr.Cycles)
-			gateExact(g, where, "conc_mark_slices", br.Slices, fr.Slices)
-			gateExact(g, where, "conc_mark_marked_objects", br.Marked, fr.Marked)
-			gateExact(g, where, "conc_mark_barrier_shades", br.Shaded, fr.Shaded)
-			gateExact(g, where, "conc_reclaimed_old_words", br.ReclaimedWords, fr.ReclaimedWords)
-			gateExact(g, where, "serial_pause", fmt.Sprint(br.SerialPause), fmt.Sprint(fr.SerialPause))
-			gateExact(g, where, "conc_pause", fmt.Sprint(br.ConcPause), fmt.Sprint(fr.ConcPause))
-			gateExact(g, where, "conc_slice", fmt.Sprint(br.ConcSlice), fmt.Sprint(fr.ConcSlice))
-			g.Exact++
-			if fr.ConcMaxPause >= fr.SerialMaxPause {
-				g.fail(where, "pause bound broken: concurrent max pause %d ticks >= serial max pause %d ticks",
-					fr.ConcMaxPause, fr.SerialMaxPause)
-			}
+	if fresh.Serve != nil {
+		g.Props++
+		if !fresh.Serve.ParallelMatchesDet {
+			g.fail("serve.parallel_matches_det", "parallel executors diverged from the deterministic run")
 		}
 	}
-
-	// The serve benchmark, keyed by (executors, parallel). Counts,
-	// makespan, and the latency summaries are deterministic; the
-	// parallel-equivalence verdict is pinned true.
-	if baseline.Serve != nil {
-		freshServe := map[string]*ServeRow{}
-		if fresh.Serve != nil {
-			for i := range fresh.Serve.Rows {
-				r := &fresh.Serve.Rows[i]
-				freshServe[fmt.Sprintf("%d/%v", r.Executors, r.Parallel)] = r
-			}
-		}
-		for i := range baseline.Serve.Rows {
-			br := &baseline.Serve.Rows[i]
-			key := fmt.Sprintf("%d/%v", br.Executors, br.Parallel)
-			where := "serve/executors=" + key
-			fr, ok := freshServe[key]
-			if !ok {
-				g.fail(where, "serve row missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "offered", br.Offered, fr.Offered)
-			gateExact(g, where, "admitted", br.Admitted, fr.Admitted)
-			gateExact(g, where, "rejected", br.Rejected, fr.Rejected)
-			gateExact(g, where, "rejected_share", br.RejectedShare, fr.RejectedShare)
-			gateExact(g, where, "completed", br.Completed, fr.Completed)
-			gateExact(g, where, "errors", br.Errors, fr.Errors)
-			gateExact(g, where, "makespan_ticks", br.MakespanTicks, fr.MakespanTicks)
-			gateServeHist(g, where, "latency", &br.Latency, &fr.Latency)
-			gateServeHist(g, where, "wait", &br.Wait, &fr.Wait)
-			gateServeHist(g, where, "service", &br.Service, &fr.Service)
-		}
-		if fresh.Serve != nil {
-			gateExact(g, "serve", "parallel_matches_det", true, fresh.Serve.ParallelMatchesDet)
+	if fresh.JIT != nil {
+		g.Props++
+		if fresh.JIT.MedianSpeedup < JITSpeedupFloor {
+			g.fail("jit.median_speedup", "template tier %.2fx, floor %.2fx",
+				fresh.JIT.MedianSpeedup, JITSpeedupFloor)
 		}
 	}
 
@@ -323,110 +178,107 @@ func RunGate(baseline, fresh *JSONReport, baselinePath string, tol float64) *Gat
 			continue
 		}
 		g.Host++
-		if drift := fr/br - 1; drift > tol {
+		if drift := fr/br - 1; drift > GateTolerance {
 			g.fail(k, "normalized host cost +%.0f%% over baseline (ratio %.2f -> %.2f, tolerance %.0f%%)",
-				100*drift, br, fr, 100*tol)
+				100*drift, br, fr, 100*GateTolerance)
 		}
 	}
 	return g
 }
 
-// gateMetrics compares the deterministic counters of one state's
-// metrics block. Everything in the registry is virtual-time-derived and
-// schedule-deterministic, so the comparison is exact.
-func gateMetrics(g *GateReport, state string, base, fresh *trace.Metrics) {
-	w := state + "/metrics"
-	gateExact(g, w, "machine.switches", base.Machine.Switches, fresh.Machine.Switches)
-	gateExact(g, w, "machine.virtual_time_ticks", base.Machine.VirtualTimeTicks, fresh.Machine.VirtualTimeTicks)
-	gateExact(g, w, "interp.bytecodes", base.Interp.Bytecodes, fresh.Interp.Bytecodes)
-	gateExact(g, w, "interp.sends", base.Interp.Sends, fresh.Interp.Sends)
-	gateExact(g, w, "interp.cache_hits", base.Interp.CacheHits, fresh.Interp.CacheHits)
-	gateExact(g, w, "interp.cache_misses", base.Interp.CacheMisses, fresh.Interp.CacheMisses)
-	gateExact(g, w, "interp.ic_hits", base.Interp.ICHits, fresh.Interp.ICHits)
-	gateExact(g, w, "interp.ic_misses", base.Interp.ICMisses, fresh.Interp.ICMisses)
-	gateExact(g, w, "interp.dict_probes", base.Interp.DictProbes, fresh.Interp.DictProbes)
-	gateExact(g, w, "interp.primitives", base.Interp.Primitives, fresh.Interp.Primitives)
-	gateExact(g, w, "interp.process_switches", base.Interp.ProcessSwitches, fresh.Interp.ProcessSwitches)
-	// The standard states run with the template tier off, so these pin
-	// the default to zero: a tier that turns itself on shows up here.
-	gateExact(g, w, "interp.jit_compiles", base.Interp.JITCompiles, fresh.Interp.JITCompiles)
-	gateExact(g, w, "interp.jit_deopts", base.Interp.JITDeopts, fresh.Interp.JITDeopts)
-	gateExact(g, w, "interp.jit_bytecodes", base.Interp.JITBytecodes, fresh.Interp.JITBytecodes)
-	gateExact(g, w, "heap.allocations", base.Heap.Allocations, fresh.Heap.Allocations)
-	gateExact(g, w, "heap.allocated_words", base.Heap.AllocatedWords, fresh.Heap.AllocatedWords)
-	gateExact(g, w, "heap.scavenges", base.Heap.Scavenges, fresh.Heap.Scavenges)
-	gateExact(g, w, "heap.store_checks", base.Heap.StoreChecks, fresh.Heap.StoreChecks)
-	gateExact(g, w, "heap.scavenge_ticks", base.Heap.ScavengeTicks, fresh.Heap.ScavengeTicks)
-	gateExact(g, w, "heap.scavenge_max_pause_ticks", base.Heap.ScavengeMaxPause, fresh.Heap.ScavengeMaxPause)
-	gateExact(g, w, "heap.full_gc_max_pause_ticks", base.Heap.FullGCMaxPause, fresh.Heap.FullGCMaxPause)
-	gateLatency(g, w+"/latency", base.Latency, fresh.Latency)
+// fingerprintTree renders r's fingerprint and decodes it into generic
+// values, numbers kept as their JSON text so floats compare exactly.
+func fingerprintTree(r *JSONReport) (any, error) {
+	raw, err := json.Marshal(fingerprintReport(r))
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	err = dec.Decode(&v)
+	return v, err
 }
 
-// gateHist pins one histogram exactly: the counts are virtual-time
-// samples dropped into fixed buckets, so in deterministic mode every
-// bucket is bit-reproducible — the derived percentiles follow for free.
-func gateHist(g *GateReport, where, what string, base, fresh *trace.HistSnapshot) {
-	gateExact(g, where, what+".count", base.Count, fresh.Count)
-	gateExact(g, where, what+".sum", base.Sum, fresh.Sum)
-	gateExact(g, where, what+".max", base.Max, fresh.Max)
-	gateExact(g, where, what+".buckets", fmt.Sprint(base.Buckets), fmt.Sprint(fresh.Buckets))
-}
-
-// gateServeHist pins a serve latency summary: the serve rows drop
-// their bucket vectors to keep the report small, so the gate compares
-// the summary columns (which the percentiles are derived from) exactly.
-func gateServeHist(g *GateReport, where, what string, base, fresh *trace.HistSnapshot) {
-	gateExact(g, where, what+".count", base.Count, fresh.Count)
-	gateExact(g, where, what+".sum", base.Sum, fresh.Sum)
-	gateExact(g, where, what+".max", base.Max, fresh.Max)
-	gateExact(g, where, what+".p50", base.P50, fresh.P50)
-	gateExact(g, where, what+".p95", base.P95, fresh.P95)
-	gateExact(g, where, what+".p99", base.P99, fresh.P99)
-}
-
-// gateLatency compares the schema-3 latency section. Either both runs
-// carry it or neither does; an asymmetry means the histograms knob
-// changed, which is itself a regression.
-func gateLatency(g *GateReport, w string, base, fresh *trace.LatencyMetrics) {
-	if base == nil && fresh == nil {
-		return
-	}
-	if base == nil || fresh == nil {
-		g.fail(w, "latency section present=%v in baseline, present=%v in fresh run",
-			base != nil, fresh != nil)
-		return
-	}
-	gateHist(g, w, "scavenge_pause", &base.ScavengePause, &fresh.ScavengePause)
-	gateHist(g, w, "scav_rendezvous", &base.ScavRendezvous, &fresh.ScavRendezvous)
-	gateHist(g, w, "scav_copy", &base.ScavCopy, &fresh.ScavCopy)
-	gateHist(g, w, "scav_term", &base.ScavTerm, &fresh.ScavTerm)
-	gateHist(g, w, "full_gc_pause", &base.FullGCPause, &fresh.FullGCPause)
-	gateHist(g, w, "conc_mark_pause", &base.ConcMarkPause, &fresh.ConcMarkPause)
-	gateHist(g, w, "conc_mark_slice", &base.ConcMarkSlice, &fresh.ConcMarkSlice)
-	gateHist(g, w, "dispatch", &base.Dispatch, &fresh.Dispatch)
-	freshLocks := map[string]*trace.LockWaitSnapshot{}
-	for i := range fresh.LockWait {
-		freshLocks[fresh.LockWait[i].Name] = &fresh.LockWait[i]
-	}
-	gateExact(g, w, "lock_wait series", len(base.LockWait), len(fresh.LockWait))
-	for i := range base.LockWait {
-		bl := &base.LockWait[i]
-		fl, ok := freshLocks[bl.Name]
-		if !ok {
-			g.fail(w, "lock-wait series %q missing from fresh run", bl.Name)
-			continue
+// diff walks two fingerprint trees together, counting each compared
+// leaf and recording one finding per differing leaf, missing key or
+// missing array element, at its JSON path.
+func (g *GateReport) diff(path string, base, fresh any) {
+	bm, bObj := base.(map[string]any)
+	fm, fObj := fresh.(map[string]any)
+	ba, bArr := base.([]any)
+	fa, fArr := fresh.([]any)
+	switch {
+	case bObj && fObj:
+		keys := make([]string, 0, len(bm)+len(fm))
+		for k := range bm {
+			keys = append(keys, k)
 		}
-		gateHist(g, w, "lock_wait/"+bl.Name, &bl.Hist, &fl.Hist)
+		for k := range fm {
+			if _, ok := bm[k]; !ok {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			p := k
+			if path != "" {
+				p = path + "." + k
+			}
+			bv, inBase := bm[k]
+			fv, inFresh := fm[k]
+			g.child(p, bv, fv, inBase, inFresh)
+		}
+	case bArr && fArr:
+		for i := range max(len(ba), len(fa)) {
+			var bv, fv any
+			if i < len(ba) {
+				bv = ba[i]
+			}
+			if i < len(fa) {
+				fv = fa[i]
+			}
+			g.child(path+"["+strconv.Itoa(i)+"]", bv, fv, i < len(ba), i < len(fa))
+		}
+	default:
+		g.Exact++
+		if bObj || fObj || bArr || fArr || base != fresh {
+			g.fail(path, "baseline %s, got %s", leafText(base), leafText(fresh))
+		}
 	}
-	gateExact(g, w, "critical_paths", fmt.Sprint(base.CriticalPaths), fmt.Sprint(fresh.CriticalPaths))
+}
+
+// child diffs one object member or array element that may be absent
+// on either side.
+func (g *GateReport) child(path string, base, fresh any, inBase, inFresh bool) {
+	switch {
+	case !inFresh:
+		g.fail(path, "missing from fresh run")
+	case !inBase:
+		g.fail(path, "not in baseline")
+	default:
+		g.diff(path, base, fresh)
+	}
+}
+
+// leafText renders one side of a differing leaf for a finding.
+func leafText(v any) string {
+	switch v.(type) {
+	case map[string]any:
+		return "an object"
+	case []any:
+		return "an array"
+	}
+	b, _ := json.Marshal(v)
+	return string(b)
 }
 
 // Format renders the gate verdict for terminal output.
 func (g *GateReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "bench gate vs %s (tolerance %.0f%%)\n", g.BaselinePath, 100*g.Tolerance)
-	fmt.Fprintf(&b, "  %d exact checks, %d host-ratio checks (%d skipped under noise floor)\n",
-		g.Exact, g.Host, g.SkippedHost)
+	fmt.Fprintf(&b, "bench gate vs %s (host tolerance %.0f%%)\n", g.BaselinePath, 100*GateTolerance)
+	fmt.Fprintf(&b, "  %d exact leaves, %d property checks, %d host-ratio checks (%d skipped under noise floor)\n",
+		g.Exact, g.Props, g.Host, g.SkippedHost)
 	if g.OK() {
 		b.WriteString("  PASS\n")
 		return b.String()
@@ -439,10 +291,16 @@ func (g *GateReport) Format() string {
 }
 
 // Fingerprint writes the report with every host-time field zeroed —
-// the deterministic residue. The CI determinism job runs the suite
-// twice and diffs the two fingerprints byte-for-byte; any difference
-// means the simulator leaked host state into virtual results.
+// the deterministic residue. CI diffs the fingerprints of two runs
+// byte-for-byte, where any difference means the simulator leaked host
+// state into virtual results; RunGate diffs the baseline's against a
+// fresh run's leaf by leaf.
 func Fingerprint(r *JSONReport, w io.Writer) error {
+	return fingerprintReport(r).Write(w)
+}
+
+// fingerprintReport returns a copy of r with the host-time fields zeroed.
+func fingerprintReport(r *JSONReport) *JSONReport {
 	cp := *r
 	cp.Table2 = make([]JSONState, len(r.Table2))
 	for i, st := range r.Table2 {
@@ -484,5 +342,5 @@ func Fingerprint(r *JSONReport, w io.Writer) error {
 		}
 		cp.Serve = &sr
 	}
-	return cp.Write(w)
+	return &cp
 }
