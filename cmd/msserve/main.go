@@ -13,13 +13,15 @@
 //
 // The run report on stdout is purely virtual-time derived: two runs
 // with the same flags produce byte-identical stdout (the serve-smoke CI
-// job diffs it). Host-side timings go to stderr.
+// job diffs it). Host-side timings go to stderr. The exit status is 1
+// when any request errored, after the report (and the trace) are out.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -51,7 +53,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	bootHost := time.Since(t0)
+	fmt.Fprintf(os.Stderr, "host: boot %v\n", time.Since(t0).Round(time.Microsecond))
 
 	traceEvents := 0
 	if *traceOut != "" {
@@ -69,36 +71,42 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer srv.Shutdown()
 
+	var failed bool
 	if *stdin {
-		serveStdin(srv)
-		return
+		failed = serveStdin(srv, os.Stdin, os.Stdout)
+	} else {
+		failed = serveSchedule(srv, loadgen.Schedule(loadgen.Config{
+			Seed:         *seed,
+			Requests:     *requests,
+			MeanGapTicks: *rate,
+			Tenants:      *tenants,
+			Kinds:        len(serve.Catalog),
+			HotTenant:    *hot,
+			HotPercent:   *hotPct,
+		}), *traceOut, os.Stdout, os.Stderr)
 	}
+	srv.Shutdown()
+	if failed {
+		os.Exit(1)
+	}
+}
 
-	arrivals := loadgen.Schedule(loadgen.Config{
-		Seed:         *seed,
-		Requests:     *requests,
-		MeanGapTicks: *rate,
-		Tenants:      *tenants,
-		Kinds:        len(serve.Catalog),
-		HotTenant:    *hot,
-		HotPercent:   *hotPct,
-	})
-	t1 := time.Now()
+// serveSchedule serves one open-loop schedule: the deterministic report
+// goes to stdout and the host wall time to stderr, so the CI byte-diff
+// sees only virtual numbers; the trace is written when traceOut is set.
+// It reports whether any request errored.
+func serveSchedule(srv *serve.Server, arrivals []loadgen.Arrival, traceOut string, stdout, stderr io.Writer) (failed bool) {
+	t := time.Now()
 	rep, err := srv.Run(arrivals)
 	if err != nil {
 		fatal(err)
 	}
-	runHost := time.Since(t1)
+	fmt.Fprint(stdout, rep.Format())
+	fmt.Fprintf(stderr, "host: run %v\n", time.Since(t).Round(time.Microsecond))
 
-	// Deterministic report on stdout; host-side wall times on stderr so
-	// the CI byte-diff sees only virtual numbers.
-	fmt.Print(rep.Format())
-	fmt.Fprintf(os.Stderr, "host: boot %v, run %v\n", bootHost.Round(time.Microsecond), runHost.Round(time.Microsecond))
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if traceOut != "" {
+		f, err := os.Create(traceOut)
 		if err != nil {
 			fatal(err)
 		}
@@ -108,15 +116,21 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s\n", *traceOut)
+		fmt.Fprintf(stderr, "trace: wrote %s\n", traceOut)
 	}
+	if rep.Errors > 0 {
+		fmt.Fprintf(stderr, "msserve: %d request(s) errored\n", rep.Errors)
+		return true
+	}
+	return false
 }
 
 // serveStdin is the interactive request/response loop: each input line
 // is "TENANT<TAB>EXPR" (or just "EXPR" for tenant 0); each output line
-// is the tenant's printString response.
-func serveStdin(srv *serve.Server) {
-	sc := bufio.NewScanner(os.Stdin)
+// is the tenant's printString response. It reports whether any request
+// errored.
+func serveStdin(srv *serve.Server, in io.Reader, out io.Writer) (failed bool) {
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -129,16 +143,18 @@ func serveStdin(srv *serve.Server) {
 				tenant, expr = n, rest
 			}
 		}
-		out, err := srv.Eval(tenant, expr)
+		res, err := srv.Eval(tenant, expr)
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(out, "error: %v\n", err)
+			failed = true
 			continue
 		}
-		fmt.Printf("%d\t%s\n", tenant, out)
+		fmt.Fprintf(out, "%d\t%s\n", tenant, res)
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
 	}
+	return failed
 }
 
 func fatal(err error) {

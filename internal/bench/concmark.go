@@ -121,12 +121,11 @@ func concMarkCollector(h *heap.Heap, p *firefly.Proc, round *int) {
 }
 
 // runConcMarkOnce runs the workload on a fresh machine and returns the
-// heap statistics plus the pause distributions. The latency registry
-// attaches before heap.New so the heap caches it.
+// heap statistics plus the pause distributions.
 func runConcMarkOnce(keep int, concMark bool) (heap.Stats, *trace.LatencyMetrics, error) {
 	m := firefly.New(4, firefly.DefaultCosts())
 	lh := trace.NewLatencyHists()
-	m.SetLatencyHists(lh)
+	m.Observe(&firefly.Observers{Lat: lh})
 	cfg := heap.Config{
 		OldWords:      1 << 20,
 		EdenWords:     32 << 10,

@@ -86,12 +86,11 @@ func parScavWorkload(h *heap.Heap, p *firefly.Proc) {
 }
 
 // runParScavOnce runs the workload on a fresh machine and returns the
-// heap statistics plus the per-scavenge pause distribution. The latency
-// registry attaches before heap.New so the heap caches it.
+// heap statistics plus the per-scavenge pause distribution.
 func runParScavOnce(procs int, parScav bool) (heap.Stats, trace.HistSnapshot, error) {
 	m := firefly.New(procs, firefly.DefaultCosts())
 	lh := trace.NewLatencyHists()
-	m.SetLatencyHists(lh)
+	m.Observe(&firefly.Observers{Lat: lh})
 	cfg := heap.Config{
 		OldWords:      1 << 20,
 		EdenWords:     32 << 10,

@@ -249,25 +249,27 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.TimeLimit > 0 {
 		m.SetTimeLimit(cfg.TimeLimit)
 	}
-	if cfg.TraceEvents > 0 {
-		// Attach before boot so every layer caches the recorder. In
-		// parallel mode each processor gets a private ring, merged by
-		// virtual time at export.
-		if cfg.Parallel {
-			m.SetRecorder(trace.NewShardedRecorder(cfg.TraceEvents, cfg.Processors))
-		} else {
-			m.SetRecorder(trace.NewRecorder(cfg.TraceEvents))
+	if cfg.TraceEvents > 0 || cfg.Sanitize || cfg.Histograms || cfg.Profile || cfg.AllocProfile {
+		// Attach before boot: the heap, VM and devices register their
+		// guarded structures with the sanitizer during construction.
+		// The profilers join the bundle after boot.
+		obs := &firefly.Observers{}
+		if cfg.TraceEvents > 0 {
+			// In parallel mode each processor gets a private ring,
+			// merged by virtual time at export.
+			if cfg.Parallel {
+				obs.Rec = trace.NewShardedRecorder(cfg.TraceEvents, cfg.Processors)
+			} else {
+				obs.Rec = trace.NewRecorder(cfg.TraceEvents)
+			}
 		}
-	}
-	if cfg.Sanitize {
-		// Likewise before boot: heap and VM cache the checker and
-		// register their guarded structures during construction.
-		m.SetSanitizer(sanitize.New())
-	}
-	if cfg.Histograms {
-		// Likewise before boot: the heap caches the registry and locks
-		// pick up their wait histograms as they are registered.
-		m.SetLatencyHists(trace.NewLatencyHists())
+		if cfg.Sanitize {
+			obs.San = sanitize.New()
+		}
+		if cfg.Histograms {
+			obs.Lat = trace.NewLatencyHists()
+		}
+		m.Observe(obs)
 	}
 	sources := append([]string{busyWorkerSource}, cfg.ExtraSources...)
 	vm, err := image.BootOn(m, hcfg, vcfg, sources...)
@@ -456,10 +458,10 @@ func (s *System) Metrics() trace.Metrics {
 		JITDeopts:        is.JITDeopts,
 		JITBytecodes:     is.JITBytecodes,
 	}
-	if r := m.Recorder(); r != nil {
+	if r := m.Observers().Recorder(); r != nil {
 		mt.Trace = trace.TraceMetrics{Events: r.Total(), Dropped: r.Dropped()}
 	}
-	if lh := m.LatencyHists(); lh != nil {
+	if lh := m.Observers().Latency(); lh != nil {
 		mt.Latency = lh.Snapshot()
 	}
 	mt.Derive()
@@ -469,7 +471,7 @@ func (s *System) Metrics() trace.Metrics {
 // WriteTrace exports the flight recorder's contents as Chrome
 // trace-event / Perfetto JSON. It errors when tracing was not enabled.
 func (s *System) WriteTrace(w io.Writer) error {
-	r := s.VM.M.Recorder()
+	r := s.VM.M.Observers().Recorder()
 	if r == nil {
 		return fmt.Errorf("core: tracing was not enabled (Config.TraceEvents)")
 	}
@@ -492,7 +494,7 @@ func (s *System) ProfileReport(topN int) (string, error) {
 // parallel-scavenge critical paths. It errors when histograms were not
 // enabled.
 func (s *System) GCReport() (string, error) {
-	lh := s.VM.M.LatencyHists()
+	lh := s.VM.M.Observers().Latency()
 	if lh == nil {
 		return "", fmt.Errorf("core: histograms were not enabled (Config.Histograms)")
 	}
@@ -503,7 +505,7 @@ func (s *System) GCReport() (string, error) {
 // and the object-demographics census. It errors when allocation
 // profiling was not enabled.
 func (s *System) AllocProfileReport(topN int) (string, error) {
-	ap := s.VM.AllocProfiler()
+	ap := s.VM.M.Observers().AllocProfiler()
 	if ap == nil {
 		return "", fmt.Errorf("core: allocation profiling was not enabled (Config.AllocProfile)")
 	}
@@ -512,7 +514,7 @@ func (s *System) AllocProfileReport(topN int) (string, error) {
 
 // Sanitizer returns the attached invariant checker, or nil when
 // Config.Sanitize was off.
-func (s *System) Sanitizer() *sanitize.Checker { return s.VM.M.Sanitizer() }
+func (s *System) Sanitizer() *sanitize.Checker { return s.VM.M.Observers().Sanitizer() }
 
 // SanitizeReport renders the checker's findings. It errors when the
 // sanitizer was not enabled.

@@ -52,9 +52,7 @@ type Display struct {
 // NewDisplay creates a display on machine m. locksEnabled selects MS
 // mode; the baseline system runs without the output-queue lock.
 func NewDisplay(m *firefly.Machine, locksEnabled bool) *Display {
-	if s := m.Sanitizer(); s != nil {
-		s.RegisterGuard("display-queue", "display")
-	}
+	m.Observers().RegisterGuard("display-queue", "display")
 	return &Display{
 		lock:   m.NewSpinlock("display", locksEnabled),
 		width:  80,
@@ -72,14 +70,9 @@ func (d *Display) Height() int { return d.height }
 // under the display lock and charged as one display operation.
 func (d *Display) PostText(p *firefly.Proc, text string, x, y int) {
 	d.lock.Acquire(p)
-	if s := p.Machine().Sanitizer(); s != nil {
-		s.OnAccess(p.ID(), int64(p.Now()), "display-queue")
-	}
 	p.Advance(p.Machine().Costs().DisplayOp)
 	d.commands = append(d.commands, Command{Text: text, X: x, Y: y, At: p.Now()})
-	if r := p.Machine().Recorder(); r != nil {
-		r.Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(len(d.commands)), 0, "")
-	}
+	p.Machine().Observers().QueueOp(p, trace.KDisplayOp, "display-queue", len(d.commands))
 	d.lock.Release(p)
 }
 
@@ -87,15 +80,10 @@ func (d *Display) PostText(p *firefly.Proc, text string, x, y int) {
 // serialized output queue.
 func (d *Display) TranscriptShow(p *firefly.Proc, text string) {
 	d.lock.Acquire(p)
-	if s := p.Machine().Sanitizer(); s != nil {
-		s.OnAccess(p.ID(), int64(p.Now()), "display-queue")
-	}
 	p.Advance(p.Machine().Costs().DisplayOp)
 	d.transcript.WriteString(text)
 	d.commands = append(d.commands, Command{Text: text, X: -1, Y: -1, At: p.Now()})
-	if r := p.Machine().Recorder(); r != nil {
-		r.Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(len(d.commands)), 0, "")
-	}
+	p.Machine().Observers().QueueOp(p, trace.KDisplayOp, "display-queue", len(d.commands))
 	d.lock.Release(p)
 }
 
@@ -118,9 +106,7 @@ type Sensor struct {
 
 // NewSensor creates a sensor on machine m.
 func NewSensor(m *firefly.Machine, locksEnabled bool) *Sensor {
-	if s := m.Sanitizer(); s != nil {
-		s.RegisterGuard("input-queue", "input")
-	}
+	m.Observers().RegisterGuard("input-queue", "input")
 	return &Sensor{lock: m.NewSpinlock("input", locksEnabled)}
 }
 
@@ -135,18 +121,16 @@ func (s *Sensor) HasPending() bool { return len(s.pending) > 0 }
 // charging one input operation. ok is false when no event is pending.
 func (s *Sensor) Take(p *firefly.Proc) (e Event, ok bool) {
 	s.lock.Acquire(p)
-	if san := p.Machine().Sanitizer(); san != nil {
-		san.OnAccess(p.ID(), int64(p.Now()), "input-queue")
-	}
+	obs := p.Machine().Observers()
 	if len(s.pending) > 0 {
 		e = s.pending[0]
 		copy(s.pending, s.pending[1:])
 		s.pending = s.pending[:len(s.pending)-1]
 		ok = true
 		p.Advance(p.Machine().Costs().InputOp)
-		if r := p.Machine().Recorder(); r != nil {
-			r.Emit(trace.KInputOp, p.ID(), int64(p.Now()), int64(len(s.pending)), 0, "")
-		}
+		obs.QueueOp(p, trace.KInputOp, "input-queue", len(s.pending))
+	} else {
+		obs.Access(p, "input-queue")
 	}
 	s.lock.Release(p)
 	return e, ok

@@ -53,9 +53,8 @@ type Spinlock struct {
 	contentions  atomic.Uint64
 	spinTime     atomic.Int64 // ticks
 
-	// waitHist, when the latency registry is attached, receives every
-	// acquire's virtual wait (spin ticks; 0 when uncontended). Pure
-	// observation: recording never charges virtual time.
+	// waitHist, when the latency histograms are attached, receives
+	// every acquire's virtual wait (spin ticks; 0 when uncontended).
 	waitHist *trace.Histogram
 }
 
@@ -65,21 +64,22 @@ type Spinlock struct {
 func (m *Machine) NewSpinlock(name string, enabled bool) *Spinlock {
 	l := &Spinlock{name: name, enabled: enabled, m: m}
 	m.locks = append(m.locks, l)
-	if s := m.san; s != nil {
-		s.RegisterLock(name, enabled)
-	}
-	if lh := m.lat; lh != nil && enabled {
-		l.waitHist = lh.LockHist(name)
-	}
+	m.obs.registerLock(l)
 	return l
 }
 
-// recordWait feeds one acquire's virtual wait (0 when uncontended) to
-// the lock's latency histogram, when one is attached.
-func (l *Spinlock) recordWait(spin Time) {
-	if hh := l.waitHist; hh != nil {
-		hh.Record(int64(spin))
-	}
+// spinUntil charges the deterministic contended spin of an acquire that
+// finds the lock held until horizon: whole test-and-set + Delay rounds
+// until the holder's release, recorded as one contention. It returns
+// the spin ticks.
+func (l *Spinlock) spinUntil(p *Proc, horizon Time) Time {
+	l.contentions.Add(1)
+	retry := p.m.costs.LockSpinRetry
+	spin := (horizon - p.clock + retry - 1) / retry * retry
+	p.m.obs.Event(p, trace.KLockContend, int64(spin), 0, l.name)
+	p.AdvanceSpin(spin)
+	l.spinTime.Add(int64(spin))
+	return spin
 }
 
 // Acquire takes the lock at the processor's current virtual time,
@@ -101,27 +101,13 @@ func (l *Spinlock) Acquire(p *Proc) {
 	var spin Time
 	if p.clock < l.freeAt {
 		// The lock is held during [p.clock, freeAt) by a processor
-		// ahead in virtual time: spin in test-and-set + Delay rounds.
-		l.contentions.Add(1)
-		wait := l.freeAt - p.clock
-		rounds := (wait + c.LockSpinRetry - 1) / c.LockSpinRetry
-		spin = rounds * c.LockSpinRetry
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, l.name)
-		}
-		p.AdvanceSpin(spin)
-		l.spinTime.Add(int64(spin))
+		// ahead in virtual time.
+		spin = l.spinUntil(p, l.freeAt)
 	}
 	l.held = true
 	l.holder = p.id
 	l.acquisitions.Add(1)
-	l.recordWait(spin)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, l.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), l.name)
-	}
+	p.m.obs.lockAcquire(p, l, spin, 1)
 }
 
 // acquirePar is the parallel-host-mode Acquire: a real CAS loop with
@@ -134,8 +120,7 @@ func (l *Spinlock) acquirePar(p *Proc) {
 	me := int32(p.id) + 1
 	if l.state.CompareAndSwap(0, me) {
 		l.acquisitions.Add(1)
-		l.recordWait(0)
-		l.emitAcquire(p)
+		p.m.obs.lockAcquire(p, l, 0, 1)
 		return
 	}
 	l.contentions.Add(1)
@@ -151,20 +136,8 @@ func (l *Spinlock) acquirePar(p *Proc) {
 	}
 	l.spinTime.Add(int64(spin))
 	l.acquisitions.Add(1)
-	l.recordWait(spin)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, l.name)
-	}
-	l.emitAcquire(p)
-}
-
-func (l *Spinlock) emitAcquire(p *Proc) {
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, l.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), l.name)
-	}
+	p.m.obs.Event(p, trace.KLockContend, int64(spin), 0, l.name)
+	p.m.obs.lockAcquire(p, l, spin, 1)
 }
 
 // TryAcquire takes the lock if it is free at the processor's current
@@ -178,14 +151,11 @@ func (l *Spinlock) TryAcquire(p *Proc) bool {
 		p.Advance(p.m.costs.LockTAS)
 		if l.state.CompareAndSwap(0, int32(p.id)+1) {
 			l.acquisitions.Add(1)
-			l.recordWait(0)
-			l.emitAcquire(p)
+			p.m.obs.lockAcquire(p, l, 0, 1)
 			return true
 		}
 		l.contentions.Add(1)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), 0, 0, l.name)
-		}
+		p.m.obs.Event(p, trace.KLockContend, 0, 0, l.name)
 		return false
 	}
 	p.Advance(p.m.costs.LockTAS)
@@ -195,21 +165,13 @@ func (l *Spinlock) TryAcquire(p *Proc) bool {
 	}
 	if p.clock < l.freeAt {
 		l.contentions.Add(1)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), 0, 0, l.name)
-		}
+		p.m.obs.Event(p, trace.KLockContend, 0, 0, l.name)
 		return false
 	}
 	l.held = true
 	l.holder = p.id
 	l.acquisitions.Add(1)
-	l.recordWait(0)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, l.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), l.name)
-	}
+	p.m.obs.lockAcquire(p, l, 0, 1)
 	return true
 }
 
@@ -225,12 +187,7 @@ func (l *Spinlock) Release(p *Proc) {
 		}
 		p.Advance(p.m.costs.LockRelease)
 		l.state.Store(0)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, 1, l.name)
-		}
-		if s := p.m.san; s != nil {
-			s.OnRelease(p.id, int64(p.clock), l.name)
-		}
+		p.m.obs.lockRelease(p, l, 1)
 		return
 	}
 	if !l.held || l.holder != p.id {
@@ -239,12 +196,7 @@ func (l *Spinlock) Release(p *Proc) {
 	l.held = false
 	p.Advance(p.m.costs.LockRelease)
 	l.freeAt = p.clock
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, 1, l.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnRelease(p.id, int64(p.clock), l.name)
-	}
+	p.m.obs.lockRelease(p, l, 1)
 }
 
 // Held reports whether the lock is currently held (always false when
@@ -311,40 +263,18 @@ func (l *RWSpinlock) AcquireRead(p *Proc) {
 		}
 		if contended {
 			in.spinTime.Add(int64(spin))
-			if r := p.m.rec; r != nil {
-				r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, in.name)
-			}
+			p.m.obs.Event(p, trace.KLockContend, int64(spin), 0, in.name)
 		}
-		in.recordWait(spin)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 0, in.name)
-		}
-		if s := p.m.san; s != nil {
-			s.OnAcquire(p.id, int64(p.clock), in.name)
-		}
+		p.m.obs.lockAcquire(p, in, spin, 0)
 		return
 	}
 	p.Advance(c.LockTAS)
 	in.acquisitions.Add(1)
 	var spin Time
 	if p.clock < in.freeAt { // a writer holds the lock until freeAt
-		in.contentions.Add(1)
-		wait := in.freeAt - p.clock
-		rounds := (wait + c.LockSpinRetry - 1) / c.LockSpinRetry
-		spin = rounds * c.LockSpinRetry
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, in.name)
-		}
-		p.AdvanceSpin(spin)
-		in.spinTime.Add(int64(spin))
+		spin = in.spinUntil(p, in.freeAt)
 	}
-	in.recordWait(spin)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 0, in.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), in.name)
-	}
+	p.m.obs.lockAcquire(p, in, spin, 0)
 }
 
 // ReleaseRead leaves the read-side section, extending the read horizon
@@ -361,12 +291,7 @@ func (l *RWSpinlock) ReleaseRead(p *Proc) {
 	} else if p.clock > l.readsEnd {
 		l.readsEnd = p.clock
 	}
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, 0, l.inner.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnRelease(p.id, int64(p.clock), l.inner.name)
-	}
+	p.m.obs.lockRelease(p, l.inner, 0)
 }
 
 // AcquireWrite enters the exclusive section: it waits for the previous
@@ -394,44 +319,19 @@ func (l *RWSpinlock) AcquireWrite(p *Proc) {
 		}
 		if contended {
 			in.spinTime.Add(int64(spin))
-			if r := p.m.rec; r != nil {
-				r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, in.name)
-			}
+			p.m.obs.Event(p, trace.KLockContend, int64(spin), 0, in.name)
 		}
-		in.recordWait(spin)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, in.name)
-		}
-		if s := p.m.san; s != nil {
-			s.OnAcquire(p.id, int64(p.clock), in.name)
-		}
+		p.m.obs.lockAcquire(p, in, spin, 1)
 		return
 	}
 	p.Advance(c.LockTAS)
 	in.acquisitions.Add(1)
-	horizon := in.freeAt
-	if l.readsEnd > horizon {
-		horizon = l.readsEnd
-	}
+	horizon := max(in.freeAt, l.readsEnd)
 	var spin Time
 	if p.clock < horizon {
-		in.contentions.Add(1)
-		wait := horizon - p.clock
-		rounds := (wait + c.LockSpinRetry - 1) / c.LockSpinRetry
-		spin = rounds * c.LockSpinRetry
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, in.name)
-		}
-		p.AdvanceSpin(spin)
-		in.spinTime.Add(int64(spin))
+		spin = in.spinUntil(p, horizon)
 	}
-	in.recordWait(spin)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, in.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), in.name)
-	}
+	p.m.obs.lockAcquire(p, in, spin, 1)
 }
 
 // ReleaseWrite leaves the exclusive section.
@@ -447,10 +347,5 @@ func (l *RWSpinlock) ReleaseWrite(p *Proc) {
 	} else {
 		l.inner.freeAt = p.clock
 	}
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, 1, l.inner.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnRelease(p.id, int64(p.clock), l.inner.name)
-	}
+	p.m.obs.lockRelease(p, l.inner, 1)
 }

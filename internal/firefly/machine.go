@@ -29,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mst/internal/sanitize"
 	"mst/internal/trace"
 )
 
@@ -125,9 +124,7 @@ func (p *Proc) AdvanceIdle(c Time) {
 // accounting the gap as garbage-collection stall time.
 func (p *Proc) StallUntil(t Time) {
 	if t > p.clock {
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KStall, p.id, int64(p.clock), int64(t-p.clock), 0, "")
-		}
+		p.m.obs.Event(p, trace.KStall, int64(t-p.clock), 0, "")
 		p.stall += t - p.clock
 		p.clock = t
 	}
@@ -153,9 +150,7 @@ func (p *Proc) Yield() {
 		// observe Stopped and return; don't reschedule.
 		return
 	}
-	if r := m.rec; r != nil {
-		r.Emit(trace.KQuantumEnd, p.id, int64(p.clock), 0, 0, "")
-	}
+	m.obs.Event(p, trace.KQuantumEnd, 0, 0, "")
 	next, reason, stop := m.schedule()
 	if stop {
 		m.pendingStop = true
@@ -167,9 +162,7 @@ func (p *Proc) Yield() {
 	if next == p {
 		return
 	}
-	if r := m.rec; r != nil {
-		r.Emit(trace.KHandoff, p.id, int64(p.clock), int64(next.id), 0, "")
-	}
+	m.obs.Event(p, trace.KHandoff, int64(next.id), 0, "")
 	next.resume <- struct{}{}
 	<-p.resume
 }
@@ -278,21 +271,9 @@ type Machine struct {
 
 	switches atomic.Uint64
 
-	// rec is the optional flight recorder; nil means tracing is off and
-	// every emission site reduces to one pointer check.
-	rec *trace.Recorder
-
-	// san is the optional Table-3 invariant sanitizer (mscheck); nil
-	// means checking is off and every hook site reduces to one pointer
-	// check. Like the recorder it is pure observation: it never charges
-	// virtual time.
-	san *sanitize.Checker
-
-	// lat is the optional latency-histogram registry; nil means the
-	// latency distributions are off and every recording site reduces to
-	// one pointer check. Like the recorder it is pure observation: it
-	// never charges virtual time.
-	lat *trace.LatencyHists
+	// obs is the attached observer bundle (observers.go); nil means
+	// every observer is off and each event costs one pointer test.
+	obs *Observers
 
 	// activeProcs counts processors currently executing Smalltalk
 	// Processes (not idling). The shared memory bus degrades as more
@@ -382,46 +363,6 @@ func (m *Machine) SetTimeLimit(t Time) { m.limit = t }
 
 // Switches returns how many processor resumptions the driver performed.
 func (m *Machine) Switches() uint64 { return m.switches.Load() }
-
-// SetRecorder attaches a flight recorder; nil detaches it. Recording
-// never changes virtual time or any counter, only observes them.
-func (m *Machine) SetRecorder(r *trace.Recorder) { m.rec = r }
-
-// Recorder returns the attached flight recorder, or nil.
-func (m *Machine) Recorder() *trace.Recorder { return m.rec }
-
-// SetSanitizer attaches an invariant checker; nil detaches it. Locks
-// registered before attachment are backfilled so the attach order
-// relative to subsystem construction does not matter.
-func (m *Machine) SetSanitizer(s *sanitize.Checker) {
-	m.san = s
-	if s != nil {
-		for _, l := range m.locks {
-			s.RegisterLock(l.name, l.enabled)
-		}
-	}
-}
-
-// Sanitizer returns the attached invariant checker, or nil.
-func (m *Machine) Sanitizer() *sanitize.Checker { return m.san }
-
-// SetLatencyHists attaches the latency-distribution registry; nil
-// detaches it. Locks registered before attachment are backfilled with
-// their acquire-wait histograms so the attach order relative to
-// subsystem construction does not matter.
-func (m *Machine) SetLatencyHists(l *trace.LatencyHists) {
-	m.lat = l
-	for _, lk := range m.locks {
-		if l != nil && lk.enabled {
-			lk.waitHist = l.LockHist(lk.name)
-		} else {
-			lk.waitHist = nil
-		}
-	}
-}
-
-// LatencyHists returns the attached latency registry, or nil.
-func (m *Machine) LatencyHists() *trace.LatencyHists { return m.lat }
 
 // SetConcAssist installs the concurrent-marking assist function. The
 // heap registers it once at construction when Config.ConcMark is on;
@@ -526,16 +467,14 @@ func (m *Machine) schedule() (next *Proc, reason StopReason, stop bool) {
 	}
 	second := m.secondClock(p)
 	p.yieldAt = second + m.quantum
-	if lh := m.lat; lh != nil {
+	if lh := m.obs.Latency(); lh != nil {
 		// Dispatch latency: how far the chosen (minimum-clock) processor
 		// lags the rest of the system when its quantum starts. Purely
 		// derived from the clocks; recording charges nothing.
 		lh.Dispatch.Record(int64(second - p.clock))
 	}
 	m.switches.Add(1)
-	if m.rec != nil {
-		m.rec.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
-	}
+	m.obs.Event(p, trace.KQuantumStart, 0, 0, "")
 	return p, 0, false
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mst/internal/sanitize"
+	"mst/internal/trace"
 )
 
 // Fault injection: a work function that accesses a guarded structure
@@ -15,7 +16,7 @@ func TestLocksetCatchesSkippedLock(t *testing.T) {
 	run := func(skipLock bool) *sanitize.Checker {
 		m := New(2, DefaultCosts())
 		san := sanitize.New()
-		m.SetSanitizer(san)
+		m.Observe(&Observers{San: san})
 		san.RegisterGuard("shared-counter", "counter")
 		l := m.NewSpinlock("counter", true)
 		counter := 0
@@ -64,7 +65,7 @@ func TestLocksetCatchesSkippedLock(t *testing.T) {
 func TestLocksetDisabledLockExemption(t *testing.T) {
 	m := New(1, DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&Observers{San: san})
 	san.RegisterGuard("shared-counter", "counter")
 	l := m.NewSpinlock("counter", false)
 	m.Start(0, func(p *Proc) {
@@ -82,21 +83,44 @@ func TestLocksetDisabledLockExemption(t *testing.T) {
 	}
 }
 
-// SetSanitizer after lock creation must backfill registrations, so the
-// disabled-lock exemption works regardless of attach order.
+// Attaching the observer bundle after lock creation must backfill:
+// every lock registers with the sanitizer (so the disabled-lock
+// exemption works regardless of attach order), and every enabled lock,
+// and only those, gets its acquire-wait histogram. Detaching clears the
+// histograms.
 func TestSanitizerBackfillsLockRegistration(t *testing.T) {
 	m := New(1, DefaultCosts())
-	l := m.NewSpinlock("late", false)
+	late := m.NewSpinlock("late", false)
+	hot := m.NewSpinlock("hot", true)
+	rw := m.NewRWSpinlock("rw", true)
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	lat := trace.NewLatencyHists()
+	m.Observe(&Observers{San: san, Lat: lat})
+	if n := san.Stats().Locks; n != 3 {
+		t.Errorf("sanitizer knows %d locks, want 3", n)
+	}
+	if late.waitHist != nil || hot.waitHist == nil || rw.inner.waitHist == nil {
+		t.Errorf("wait histograms: late=%v hot=%v rw=%v, want only the enabled locks",
+			late.waitHist != nil, hot.waitHist != nil, rw.inner.waitHist != nil)
+	}
+	var names []string
+	for _, lw := range lat.Snapshot().LockWait {
+		names = append(names, lw.Name)
+	}
+	if want := []string{"hot", "rw"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("lock-wait histograms = %v, want %v", names, want)
+	}
 	san.RegisterGuard("thing", "late")
 	m.Start(0, func(p *Proc) {
 		san.OnAccess(p.ID(), int64(p.Now()), "thing")
-		_ = l
 	})
 	m.Run(nil)
 	if !san.Clean() {
 		t.Fatalf("backfilled disabled lock not exempt:\n%s", san.Report())
+	}
+	m.Observe(nil)
+	if hot.waitHist != nil || rw.inner.waitHist != nil {
+		t.Error("detaching left wait histograms attached")
 	}
 }
 
@@ -136,7 +160,7 @@ func TestLocksetLockOrderCycle(t *testing.T) {
 	runOnce := func() []string {
 		m := New(2, DefaultCosts())
 		san := sanitize.New()
-		m.SetSanitizer(san)
+		m.Observe(&Observers{San: san})
 		a := m.NewSpinlock("lock-a", true)
 		b := m.NewSpinlock("lock-b", true)
 		m.Start(0, func(p *Proc) {
@@ -180,7 +204,7 @@ func TestLocksetLockOrderCycle(t *testing.T) {
 func TestLocksetRWLockCoversGuard(t *testing.T) {
 	m := New(1, DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&Observers{San: san})
 	san.RegisterGuard("shared-cache", "cache")
 	l := m.NewRWSpinlock("cache", true)
 	m.Start(0, func(p *Proc) {
@@ -206,7 +230,7 @@ func TestSanitizerMachineDeterminism(t *testing.T) {
 	run := func(sanitized bool) (Time, []LockStats) {
 		m := New(2, DefaultCosts())
 		if sanitized {
-			m.SetSanitizer(sanitize.New())
+			m.Observe(&Observers{San: sanitize.New()})
 		}
 		m.SetQuantum(10)
 		l := m.NewSpinlock("hot", true)

@@ -62,14 +62,13 @@ func (h *Heap) Allocate(p *firefly.Proc, class object.OOP, bodyWords int, f obje
 	sh := &h.allocShards[p.ID()]
 	sh.allocations.Add(1)
 	sh.allocatedWords.Add(uint64(total))
-	if ap := h.alp; ap != nil {
-		id := h.allocSiteID(p.ID())
-		ap.RecordAlloc(id, int64(total))
-		if addr >= h.newBase {
-			// Old-space (large-object) allocations are attributed but
-			// not tracked through the scavenger.
-			h.siteByAddr[addr] = id
+	if site := h.obs().Alloc(p.ID(), total); site >= 0 && addr >= h.newBase {
+		// Old-space (large-object) allocations are attributed but not
+		// tracked through the scavenger.
+		if h.siteByAddr == nil {
+			h.siteByAddr = make(map[uint64]int)
 		}
+		h.siteByAddr[addr] = site
 	}
 
 	o := object.FromAddr(addr)
@@ -137,7 +136,7 @@ func (h *Heap) reserve(p *firefly.Proc, total int) uint64 {
 	c := h.m.Costs()
 	for attempt := 0; ; attempt++ {
 		h.allocLock.Acquire(p)
-		h.sanAccess(p, "eden")
+		h.obs().Access(p, "eden")
 		if h.eden.free() >= total {
 			addr := h.eden.next
 			h.eden.next += uint64(total)
@@ -151,9 +150,7 @@ func (h *Heap) reserve(p *firefly.Proc, total int) uint64 {
 			return h.reserveOld(p, total)
 		}
 		p.Advance(c.Alloc)
-		if h.rec != nil {
-			h.rec.Emit(trace.KEdenFull, p.ID(), int64(p.Now()), int64(total), 0, "")
-		}
+		h.obs().Event(p, trace.KEdenFull, int64(total), 0, "")
 		h.Scavenge(p)
 	}
 }
@@ -161,10 +158,8 @@ func (h *Heap) reserve(p *firefly.Proc, total int) uint64 {
 // reserveTLAB bumps the processor's local chunk, refilling from eden.
 func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 	t := &h.tlabs[p.ID()]
-	if s := h.san; s != nil {
-		// A TLAB is a Table-3 replication row: only its owner bumps it.
-		s.OnOwnedAccess(p.ID(), p.ID(), int64(p.Now()), "tlab")
-	}
+	// A TLAB is a Table-3 replication row: only its owner bumps it.
+	h.obs().OwnedAccess(p, "tlab")
 	if t.limit-t.next >= uint64(total) {
 		addr := t.next
 		t.next += uint64(total)
@@ -178,7 +173,7 @@ func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 	chunk &^= 1 // chunks must keep object addresses even
 	for attempt := 0; ; attempt++ {
 		h.allocLock.Acquire(p)
-		h.sanAccess(p, "eden")
+		h.obs().Access(p, "eden")
 		if h.eden.free() >= total {
 			n := chunk
 			if n > h.eden.free() {
@@ -198,9 +193,7 @@ func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 		if attempt > 0 {
 			return h.reserveOld(p, total)
 		}
-		if h.rec != nil {
-			h.rec.Emit(trace.KEdenFull, p.ID(), int64(p.Now()), int64(total), 0, "")
-		}
+		h.obs().Event(p, trace.KEdenFull, int64(total), 0, "")
 		h.Scavenge(p)
 	}
 }
@@ -210,7 +203,7 @@ func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 // bump pointer, so reclaimed old space is reused without compaction.
 func (h *Heap) reserveOld(p *firefly.Proc, total int) uint64 {
 	h.allocLock.Acquire(p)
-	h.sanAccess(p, "old-space")
+	h.obs().Access(p, "old-space")
 	if addr, ok := h.carveOldFree(total); ok {
 		h.allocLock.Release(p)
 		return addr

@@ -151,7 +151,7 @@ func (cm *concMark) shadeRef(proc int, v object.OOP) bool {
 		}
 		h.SetHeader(v, hd.SetMarked(true))
 	}
-	if san := h.san; san != nil {
+	if san := h.obs().Sanitizer(); san != nil {
 		san.OnMarkGrey(proc, cm.at, a)
 	}
 	cm.push(v)
@@ -191,7 +191,7 @@ func (h *Heap) deletionBarrier(p *firefly.Proc, idx uint64) {
 			cm.mu.Unlock()
 		}
 	}
-	if san := h.san; san != nil {
+	if san := h.obs().Sanitizer(); san != nil {
 		san.OnDeletionBarrier(proc, at, a, object.Header(h.loadWord(a)).Marked())
 	}
 }
@@ -248,9 +248,7 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 		panic("heap: concurrent mark cycle already active")
 	}
 	start := p.Now()
-	if h.rec != nil {
-		h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
-	}
+	h.obs().Event(p, trace.KFullGCBegin, 0, 0, "")
 	h.Scavenge(p)
 	for _, f := range h.preGC {
 		f()
@@ -305,14 +303,8 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	if pause > h.stats.FullGCMaxPause {
 		h.stats.FullGCMaxPause = pause
 	}
-	if lh := h.lat; lh != nil {
-		lh.FullGCPause.Record(int64(pause))
-		lh.ConcMarkPause.Record(int64(pause))
-	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KConcMarkBegin, p.ID(), int64(p.Now()), int64(shadedObjs), 0, "")
-		h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
-	}
+	h.obs().Event(p, trace.KConcMarkBegin, int64(shadedObjs), 0, "")
+	h.obs().GCPause(p, firefly.GCConcMark, pause)
 
 	cm.active.Store(true)
 	h.m.SetConcMarkActive(true)
@@ -359,14 +351,10 @@ func (h *Heap) concMarkSlice(p *firefly.Proc, budget int, fromAssist bool) int {
 	cm.slices++
 	cm.work += cost
 	cm.mu.Unlock()
-	if !fromAssist {
-		if lh := h.lat; lh != nil {
-			lh.ConcMarkSlice.Record(int64(cost))
-		}
+	if lh := h.obs().Latency(); lh != nil && !fromAssist {
+		lh.ConcMarkSlice.Record(int64(cost))
 	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KConcMarkSlice, p.ID(), int64(p.Now()), int64(len(batch)), int64(cost), "")
-	}
+	h.obs().Event(p, trace.KConcMarkSlice, int64(len(batch)), int64(cost), "")
 	return len(batch)
 }
 
@@ -447,14 +435,8 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	if pause > h.stats.FullGCMaxPause {
 		h.stats.FullGCMaxPause = pause
 	}
-	if lh := h.lat; lh != nil {
-		lh.FullGCPause.Record(int64(pause))
-		lh.ConcMarkPause.Record(int64(pause))
-	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KConcMarkFinal, p.ID(), int64(p.Now()), int64(residual), int64(pause), "")
-		h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
-	}
+	h.obs().Event(p, trace.KConcMarkFinal, int64(residual), int64(pause), "")
+	h.obs().GCPause(p, firefly.GCConcMark, pause)
 
 	// Merge the cycle counters under the stopped world.
 	h.stats.ConcMarkCycles++
@@ -465,8 +447,8 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	for _, f := range h.postGC {
 		f()
 	}
-	if h.san != nil {
-		h.san.ResetMarkClaims()
+	if san := h.obs().Sanitizer(); san != nil {
+		san.ResetMarkClaims()
 	}
 }
 
@@ -557,10 +539,7 @@ func (h *Heap) concMarkSweep(p *firefly.Proc) {
 	h.allocLock.Release(p)
 
 	h.stats.ReclaimedOldWords += reclaimedWords
-	if h.rec != nil {
-		h.rec.Emit(trace.KConcMarkSweep, p.ID(), int64(p.Now()),
-			int64(reclaimedObjs), int64(reclaimedWords), "")
-	}
+	h.obs().Event(p, trace.KConcMarkSweep, int64(reclaimedObjs), int64(reclaimedWords), "")
 }
 
 // fullCollectConc is FullCollect's ConcMark body: the whole cycle runs
@@ -608,9 +587,6 @@ func (h *Heap) fullCollectConc(p *firefly.Proc) {
 
 	h.stats.FullCollections++
 	h.stats.FullGCTime += cm.work
-	if h.rec != nil {
-		h.rec.Emit(trace.KFullGCEnd, p.ID(), int64(p.Now()), int64(h.stats.ReclaimedOldWords), 0, "")
-		h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
-			int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-	}
+	h.obs().Event(p, trace.KFullGCEnd, int64(h.stats.ReclaimedOldWords), 0, "")
+	h.traceOccupancy(p)
 }

@@ -172,7 +172,7 @@ func runConcFuzzDet(t *testing.T, seed int64, conc bool) (fuzzResult, Stats) {
 	cfg.ConcMark = conc
 	m := firefly.New(4, firefly.DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&firefly.Observers{San: san})
 	h := New(m, cfg)
 	var res fuzzResult
 	m.Start(0, func(p *firefly.Proc) {
@@ -259,7 +259,7 @@ func TestConcMarkSkippedBarrierCaught(t *testing.T) {
 	cfg.ConcMark = true
 	m := firefly.New(2, firefly.DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&firefly.Observers{San: san})
 	h := New(m, cfg)
 	m.Start(0, func(p *firefly.Proc) {
 		a := h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
@@ -292,7 +292,7 @@ func TestConcMarkTriColorViolationCaught(t *testing.T) {
 	cfg.ConcMark = true
 	m := firefly.New(2, firefly.DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&firefly.Observers{San: san})
 	h := New(m, cfg)
 	m.Start(0, func(p *firefly.Proc) {
 		a := h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
@@ -413,7 +413,7 @@ func TestConcMarkHostParallelStress(t *testing.T) {
 	cfg.ConcMark = true
 	m := firefly.New(4, firefly.DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&firefly.Observers{San: san})
 	h := New(m, cfg)
 	var res fuzzResult
 	var done atomic.Bool

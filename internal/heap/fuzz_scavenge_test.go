@@ -205,7 +205,7 @@ func runScavFuzzDet(t *testing.T, seed int64, parScav bool) fuzzResult {
 	cfg.ParScavenge = parScav
 	m := firefly.New(4, firefly.DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&firefly.Observers{San: san})
 	h := New(m, cfg)
 	var res fuzzResult
 	m.Start(0, func(p *firefly.Proc) {
@@ -254,7 +254,7 @@ func runScavFuzzHost(t *testing.T, seed int64, delays []time.Duration) fuzzResul
 	cfg.ParScavenge = true
 	m := firefly.New(procs, firefly.DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&firefly.Observers{San: san})
 	h := New(m, cfg)
 	h.scavDelay = func(worker int) {
 		if worker < len(delays) && delays[worker] > 0 {

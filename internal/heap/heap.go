@@ -19,8 +19,6 @@ import (
 
 	"mst/internal/firefly"
 	"mst/internal/object"
-	"mst/internal/sanitize"
-	"mst/internal/trace"
 )
 
 // AllocPolicy selects how new-space allocation is synchronized.
@@ -224,37 +222,20 @@ type Heap struct {
 	// shards on separate cache lines.
 	allocShards []allocShard
 
-	// rec is the machine's flight recorder (nil when tracing is off),
-	// cached here so hot allocation paths pay one pointer check. gcProc
-	// and gcAt identify the in-progress scavenge for events emitted from
-	// deep inside forward(), which has no processor parameter.
-	rec    *trace.Recorder
+	// gcProc and gcAt identify the in-progress scavenge for events
+	// emitted from deep inside forward(), which has no processor
+	// parameter.
 	gcProc int
 	gcAt   int64
 
-	// san is the machine's invariant checker (nil when sanitizing is
-	// off), cached like rec. Access hooks fire inside the locked
-	// sections; the scavenger emits none (stop-the-world mutation is
-	// legitimately lock-free) but triggers the write-barrier verifier.
-	san *sanitize.Checker
-
-	// lat is the machine's latency-histogram registry (nil when the
-	// distributions are off), cached like rec. The scavenger records
-	// its pause and phase durations into it; recording never charges
-	// virtual time.
-	lat *trace.LatencyHists
-
-	// alp is the allocation-site profiler (nil when off). allocSiteID
-	// resolves the currently-allocating site for a processor — the
-	// interpreter's executing Class>>selector — so this package stays
-	// free of interpreter imports. siteByAddr maps live new-space
-	// object addresses to their allocation site; each scavenge rebuilds
-	// it into siteNext as objects move (tenured objects drop out — old
-	// space is not tracked).
-	alp         *trace.AllocProfiler
-	allocSiteID func(proc int) int
-	siteByAddr  map[uint64]int
-	siteNext    map[uint64]int
+	// siteByAddr maps live new-space object addresses to the site the
+	// allocation-site profiler attributed them to; each scavenge
+	// rebuilds it into siteNext as objects move (tenured objects drop
+	// out — old space is not tracked). Both stay nil while the profiler
+	// is off. The profiler is deterministic-mode only (core enforces
+	// it), so the maps need no lock.
+	siteByAddr map[uint64]int
+	siteNext   map[uint64]int
 
 	stats Stats
 }
@@ -287,9 +268,6 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 		par:   cfg.Parallel,
 		mem:   words.w,
 		words: words,
-		rec:   m.Recorder(),
-		san:   m.Sanitizer(),
-		lat:   m.LatencyHists(),
 	}
 	h.allocShards = make([]allocShard, m.NumProcs())
 	base := uint64(object.FirstFreeAddress)
@@ -305,13 +283,12 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 
 	h.allocLock = m.NewSpinlock("alloc", cfg.LocksEnabled)
 	h.entryLock = m.NewSpinlock("entry-table", cfg.LocksEnabled)
-	if h.san != nil {
-		// Table-3 serialization rows owned by the heap: the shared
-		// allocation pointers (eden and old space) and the entry table.
-		h.san.RegisterGuard("eden", "alloc")
-		h.san.RegisterGuard("old-space", "alloc")
-		h.san.RegisterGuard("remembered-set", "entry-table")
-	}
+	// Table-3 serialization rows owned by the heap: the shared
+	// allocation pointers (eden and old space) and the entry table.
+	obs := m.Observers()
+	obs.RegisterGuard("eden", "alloc")
+	obs.RegisterGuard("old-space", "alloc")
+	obs.RegisterGuard("remembered-set", "entry-table")
 	h.tlabs = make([]tlab, m.NumProcs())
 	h.handlePools = make([]*handlePool, m.NumProcs())
 	for i := range h.handlePools {
@@ -352,16 +329,11 @@ func (h *Heap) Machine() *firefly.Machine { return h.m }
 // Config returns the heap's configuration.
 func (h *Heap) Config() Config { return h.cfg }
 
-// SetAllocProfiler attaches the allocation-site profiler. siteID
-// resolves the currently-allocating site for a processor (the
-// interpreter supplies "Class>>selector" ids). Deterministic mode
-// only: attribution reads unsynchronized interpreter state and the
-// site maps are unguarded — the core config layer enforces this.
-func (h *Heap) SetAllocProfiler(a *trace.AllocProfiler, siteID func(proc int) int) {
-	h.alp = a
-	h.allocSiteID = siteID
-	h.siteByAddr = make(map[uint64]int)
-}
+// obs returns the machine's observer bundle, nil when every observer
+// is off. Access hooks fire inside the locked sections; the scavenger
+// fires none (stop-the-world mutation is legitimately lock-free) but
+// runs the write-barrier verifier when the sanitizer is attached.
+func (h *Heap) obs() *firefly.Observers { return h.m.Observers() }
 
 // Stats returns a snapshot of heap statistics. Per-processor shards
 // are summed in, so the totals match the unsharded accounting exactly.
@@ -498,18 +470,6 @@ func (h *Heap) StoreNoCheck(o object.OOP, i int, v object.OOP) {
 	h.storeWord(o.Addr()+object.HeaderWords+uint64(i), uint64(v))
 }
 
-// sanAccess reports an access to a serialized heap structure to the
-// invariant checker; call it from inside the guarding critical
-// section. The scavenger deliberately calls nothing here: during a
-// stop-the-world collection the scavenging processor mutates every
-// space lock-free, which is the reorganization the paper's rendezvous
-// makes safe.
-func (h *Heap) sanAccess(p *firefly.Proc, structure string) {
-	if s := h.san; s != nil {
-		s.OnAccess(p.ID(), int64(p.Now()), structure)
-	}
-}
-
 func (h *Heap) storeCheck(p *firefly.Proc, o, v object.OOP) {
 	if o.Addr() >= h.newBase || !h.InNewSpace(v) {
 		return
@@ -525,7 +485,7 @@ func (h *Heap) storeCheck(p *firefly.Proc, o, v object.OOP) {
 		return
 	}
 	h.entryLock.Acquire(p)
-	h.sanAccess(p, "remembered-set")
+	h.obs().Access(p, "remembered-set")
 	hd = h.Header(o) // re-read under the lock
 	if !hd.Remembered() {
 		if h.par {

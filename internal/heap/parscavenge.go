@@ -207,9 +207,7 @@ func (s *parScav) drainDet(h *Heap) {
 			it, _ = victim.wl.steal()
 			w.steals++
 			w.cost += c.ScavengeSteal
-			if h.rec != nil {
-				h.rec.Emit(trace.KScavSteal, w.id, h.gcAt+int64(w.cost), int64(victim.id), 0, "")
-			}
+			h.obs().Trace(trace.KScavSteal, w.id, h.gcAt+int64(w.cost), int64(victim.id), 0, "")
 		}
 		h.scanGrey(s, w, it)
 	}
@@ -275,9 +273,7 @@ func (s *parScav) stealHost(h *Heap, w *scavWorker) (greyItem, bool) {
 		if it, ok := victim.wl.steal(); ok {
 			w.steals++
 			w.cost += h.m.Costs().ScavengeSteal
-			if h.rec != nil {
-				h.rec.Emit(trace.KScavSteal, w.id, h.gcAt+int64(w.cost), int64(victim.id), 0, "")
-			}
+			h.obs().Trace(trace.KScavSteal, w.id, h.gcAt+int64(w.cost), int64(victim.id), 0, "")
 			return it, true
 		}
 	}
@@ -369,37 +365,23 @@ func (h *Heap) parForward(s *parScav, w *scavWorker, o object.OOP) object.OOP {
 		if !atomic.CompareAndSwapUint64(&h.mem[addr], uint64(hd), uint64(scavBusyHeader)) {
 			continue
 		}
-		if san := h.san; san != nil {
+		if san := h.obs().Sanitizer(); san != nil {
 			san.OnGCClaim(w.id, h.gcAt, addr)
 		}
 		size := hd.SizeWords()
 		age := hd.Age() + 1
-		if ap := h.alp; ap != nil {
+		dst, tenured := w.allocCopy(h, size, age >= h.cfg.TenureAge)
+		if h.siteNext != nil {
 			// Allocation-site profiling is deterministic-mode only
 			// (enforced by core), where the drain runs on one
 			// goroutine, so the site maps never race.
-			ap.NoteAge(int(age), int64(size))
+			h.noteCopy(addr, dst, size, int(age), tenured)
 		}
-		dst, tenured := w.allocCopy(h, size, age >= h.cfg.TenureAge)
 		if tenured {
 			age = 0
 			w.tenuredObjects++
 			w.tenuredWords += uint64(size)
-			if h.rec != nil {
-				h.rec.Emit(trace.KTenure, w.id, h.gcAt+int64(w.cost), int64(size), 0, "")
-			}
-			if ap := h.alp; ap != nil {
-				if id, ok := h.siteByAddr[addr]; ok {
-					ap.NoteTenured(id, int64(size))
-				}
-			}
-		} else if ap := h.alp; ap != nil {
-			if id, ok := h.siteByAddr[addr]; ok {
-				if addr >= h.eden.base {
-					ap.NoteSurvived(id, int64(size))
-				}
-				h.siteNext[dst] = id
-			}
+			h.obs().Trace(trace.KTenure, w.id, h.gcAt+int64(w.cost), int64(size), 0, "")
 		}
 		copy(h.mem[dst+1:dst+uint64(size)], h.mem[addr+1:addr+uint64(size)])
 		nh := hd.SetAge(age).SetRemembered(false)
@@ -408,7 +390,7 @@ func (h *Heap) parForward(s *parScav, w *scavWorker, o object.OOP) object.OOP {
 			nh = nh.SetMarked(true)
 		}
 		h.storeWord(dst, uint64(nh))
-		if san := h.san; san != nil {
+		if san := h.obs().Sanitizer(); san != nil {
 			san.OnGCPublish(w.id, h.gcAt, addr)
 		}
 		atomic.StoreUint64(&h.mem[addr+1], dst)
@@ -553,7 +535,8 @@ func (h *Heap) finishParScav(s *parScav, p *firefly.Proc, start firefly.Time) {
 		p.StallUntil(end)
 		h.m.StallOthers(p, end)
 	}
-	if lh := h.lat; lh != nil {
+	obs := h.obs()
+	if lh := obs.Latency(); lh != nil {
 		// Parallel phase split: rendezvous is the base charge, the copy
 		// phase lasts until the slowest worker (the long pole) finishes,
 		// and the termination barrier is the fixed join cost.
@@ -570,14 +553,14 @@ func (h *Heap) finishParScav(s *parScav, p *firefly.Proc, start firefly.Time) {
 		})
 	}
 
-	if h.rec != nil {
+	if r := obs.Recorder(); r != nil {
 		for i, w := range s.ws {
-			h.rec.Emit(trace.KScavWorkerBegin, i, h.gcAt, int64(w.steals), 0, "")
-			h.rec.Emit(trace.KScavWorkerEnd, i, h.gcAt+int64(w.cost),
+			r.Emit(trace.KScavWorkerBegin, i, h.gcAt, int64(w.steals), 0, "")
+			r.Emit(trace.KScavWorkerEnd, i, h.gcAt+int64(w.cost),
 				int64(w.copiedObjects), int64(w.copiedWords), "")
 		}
 	}
-	if h.san != nil {
-		h.san.ResetGCClaims()
+	if san := obs.Sanitizer(); san != nil {
+		san.ResetGCClaims()
 	}
 }

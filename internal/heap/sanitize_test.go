@@ -15,7 +15,7 @@ func sanHeap(t *testing.T, cfg Config, fn func(h *Heap, p *firefly.Proc)) *sanit
 	t.Helper()
 	m := firefly.New(1, firefly.DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&firefly.Observers{San: san})
 	h := New(m, cfg)
 	m.Start(0, func(p *firefly.Proc) { fn(h, p) })
 	if r := m.Run(nil); r != firefly.StopAllDone {
@@ -111,7 +111,7 @@ func TestSanitizerHeapDeterminism(t *testing.T) {
 	run := func(sanitized bool) (Stats, firefly.Time) {
 		m := firefly.New(1, firefly.DefaultCosts())
 		if sanitized {
-			m.SetSanitizer(sanitize.New())
+			m.Observe(&firefly.Observers{San: sanitize.New()})
 		}
 		h := New(m, smallConfig())
 		var at firefly.Time

@@ -38,18 +38,16 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	defer func() { h.inGC = false }()
 
 	start := p.Now()
-	if h.rec != nil {
-		h.rec.Emit(trace.KScavengeBegin, p.ID(), int64(start), 0, 0, "")
-		h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(start),
-			int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-	}
+	obs := h.obs()
+	obs.Event(p, trace.KScavengeBegin, 0, 0, "")
+	h.traceOccupancy(p)
 	h.gcProc, h.gcAt = p.ID(), int64(start)
 	for _, f := range h.preGC {
 		f()
 	}
-	if h.alp != nil {
+	if obs.AllocProfiler() != nil {
 		// The copy pass re-keys each surviving object's allocation site
-		// from its old address to its new one.
+		// from its old address to its new one (noteCopy).
 		h.siteNext = make(map[uint64]int)
 	}
 
@@ -77,7 +75,7 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	h.past = 1 - h.past
 	h.resetTLABs()
 	h.to = nil
-	if h.alp != nil {
+	if h.siteNext != nil {
 		h.siteByAddr = h.siteNext
 		h.siteNext = nil
 	}
@@ -89,15 +87,9 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	if pause > h.stats.ScavengeMaxPause {
 		h.stats.ScavengeMaxPause = pause
 	}
-	if lh := h.lat; lh != nil {
-		lh.ScavengePause.Record(int64(pause))
-	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KScavengeEnd, p.ID(), int64(p.Now()), int64(objs), int64(words), "")
-		h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 0, "")
-		h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
-			int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-	}
+	obs.Event(p, trace.KScavengeEnd, int64(objs), int64(words), "")
+	obs.GCPause(p, firefly.GCScavenge, pause)
+	h.traceOccupancy(p)
 	h.verifyWriteBarrier(p)
 
 	for _, f := range h.postGC {
@@ -171,7 +163,7 @@ func (h *Heap) serialScavenge(p *firefly.Proc) {
 	c := h.m.Costs()
 	copyTicks := c.ScavengePerObject*firefly.Time(objs) +
 		c.ScavengePerWord*firefly.Time(words)
-	if lh := h.lat; lh != nil {
+	if lh := h.obs().Latency(); lh != nil {
 		// Serial phase split: the base charge models the rendezvous,
 		// the per-object/word charge is the copy work, and termination
 		// is immediate (one scavenger, nothing to join).
@@ -196,9 +188,6 @@ func (h *Heap) forward(o object.OOP) object.OOP {
 	}
 	size := hd.SizeWords()
 	age := hd.Age() + 1
-	if ap := h.alp; ap != nil {
-		ap.NoteAge(int(age), int64(size))
-	}
 
 	var dst uint64
 	tenure := age >= h.cfg.TenureAge || h.to.free() < size
@@ -210,28 +199,14 @@ func (h *Heap) forward(o object.OOP) object.OOP {
 		h.old.next += uint64(size)
 		h.stats.TenuredObjects++
 		h.stats.TenuredWords += uint64(size)
-		if h.rec != nil {
-			h.rec.Emit(trace.KTenure, h.gcProc, h.gcAt, int64(size), 0, "")
-		}
-		if ap := h.alp; ap != nil {
-			if id, ok := h.siteByAddr[o.Addr()]; ok {
-				ap.NoteTenured(id, int64(size))
-			}
-		}
+		h.obs().Trace(trace.KTenure, h.gcProc, h.gcAt, int64(size), 0, "")
 		age = 0
 	} else {
 		dst = h.to.next
 		h.to.next += uint64(size)
-		if ap := h.alp; ap != nil {
-			if id, ok := h.siteByAddr[o.Addr()]; ok {
-				if o.Addr() >= h.eden.base {
-					// First scavenge for an eden-born object: it
-					// survived.
-					ap.NoteSurvived(id, int64(size))
-				}
-				h.siteNext[dst] = id
-			}
-		}
+	}
+	if h.siteNext != nil {
+		h.noteCopy(o.Addr(), dst, size, int(hd.Age())+1, tenure)
 	}
 
 	copy(h.mem[dst:dst+uint64(size)], h.mem[o.Addr():o.Addr()+uint64(size)])
@@ -334,5 +309,42 @@ func (h *Heap) checkPointer(region string, from uint64, f object.OOP) {
 	// contains-check above uses eden.next which covers reserved chunks.
 	if !ok {
 		panic(fmt.Sprintf("heap: object at %d in %s points to dead region (%d)", from, region, a))
+	}
+}
+
+// noteCopy follows one object the scavenger copied from src to dst for
+// the allocation-site profiler: the age census, then its site's tenure
+// or, for an eden-born object, its first survival. A survivor's site
+// moves with it to dst; a tenured object leaves the tracked population.
+// Callers test siteNext first, so an unprofiled scavenge pays one
+// field test per object.
+func (h *Heap) noteCopy(src, dst uint64, size, age int, tenured bool) {
+	ap := h.obs().AllocProfiler()
+	if ap == nil {
+		return
+	}
+	ap.NoteAge(age, int64(size))
+	id, ok := h.siteByAddr[src]
+	if !ok {
+		return
+	}
+	if tenured {
+		ap.NoteTenured(id, int64(size))
+		return
+	}
+	if src >= h.eden.base {
+		// First scavenge for an eden-born object: it survived.
+		ap.NoteSurvived(id, int64(size))
+	}
+	h.siteNext[dst] = id
+}
+
+// traceOccupancy samples eden and old-space occupancy on p's trace.
+// The space pointers are read only when tracing: in parallel host mode
+// they are not the caller's to read outside a stop-the-world window.
+func (h *Heap) traceOccupancy(p *firefly.Proc) {
+	if r := h.obs().Recorder(); r != nil {
+		r.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
+			int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
 	}
 }

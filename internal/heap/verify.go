@@ -17,11 +17,9 @@ import (
 // reference such a bypass leaves behind once the target is collected or
 // moved. Violations go to the checker; nothing in the heap is written.
 //
-// This file is intentionally read-only (it never assigns to h.mem);
-// msvet's heapwrite analyzer keeps it that way by excluding it from the
-// barrier-API allowlist.
+//msvet:read-only the verifier runs inside the STW window, where collector stores are legal, but a write here would perturb what it checks
 func (h *Heap) verifyWriteBarrier(p *firefly.Proc) {
-	san := h.san
+	san := h.obs().Sanitizer()
 	if san == nil {
 		return
 	}
@@ -129,8 +127,10 @@ func (h *Heap) verifyWriteBarrier(p *firefly.Proc) {
 // barrier was skipped or a shade was lost, and the sweep would turn a
 // live object into a dangling reference. Violations go to the checker;
 // nothing in the heap is written.
+//
+//msvet:read-only the verifier runs inside the finalize STW window, where collector stores are legal, but a write here would perturb what it checks
 func (h *Heap) verifyTriColor(p *firefly.Proc) {
-	san := h.san
+	san := h.obs().Sanitizer()
 	if san == nil {
 		return
 	}

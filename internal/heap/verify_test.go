@@ -26,7 +26,7 @@ func parSanHeap(t *testing.T, fn func(h *Heap, p *firefly.Proc)) *sanitize.Check
 	cfg.ParScavenge = true
 	m := firefly.New(4, firefly.DefaultCosts())
 	san := sanitize.New()
-	m.SetSanitizer(san)
+	m.Observe(&firefly.Observers{San: san})
 	h := New(m, cfg)
 	m.Start(0, func(p *firefly.Proc) { fn(h, p) })
 	if r := m.Run(nil); r != firefly.StopAllDone {

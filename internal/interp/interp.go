@@ -7,7 +7,6 @@ import (
 	"mst/internal/bytecode"
 	"mst/internal/firefly"
 	"mst/internal/object"
-	"mst/internal/trace"
 )
 
 // Interp is one replicated interpreter: the paper's unit of parallelism
@@ -66,9 +65,7 @@ type Interp struct {
 	twoWay       bool         // CacheWays == 2
 	icPolicy     ICPolicy
 
-	// rec caches the machine's flight recorder (nil = tracing off);
 	// profFrames is profSync's reusable frame scratch (see profile.go).
-	rec        *trace.Recorder
 	profFrames []string
 
 	// msjit tier state (Config.JIT; see jit.go). jfns is the compiled
@@ -97,7 +94,6 @@ func newInterp(vm *VM, p *firefly.Proc) *Interp {
 		lits:         object.Nil,
 		codeCache:    map[object.OOP][]byte{},
 		costs:        vm.M.Costs(),
-		rec:          vm.M.Recorder(),
 		sharedLocked: vm.Cfg.MethodCache == CacheSharedLocked,
 		twoWay:       vm.Cfg.CacheWays == 2,
 		icPolicy:     vm.Cfg.InlineCache,
@@ -520,8 +516,8 @@ func (in *Interp) loadContext(ctx object.OOP) {
 	in.pc = int(h.Fetch(ctx, CtxPC).Int())
 	in.sp = int(h.Fetch(ctx, CtxSP).Int())
 	in.slotCap = h.FieldCount(ctx) - in.base
-	if in.vm.prof != nil {
-		in.profSync()
+	if pf := in.vm.obs().Profiler(); pf != nil {
+		in.profSync(pf)
 	}
 }
 

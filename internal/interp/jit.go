@@ -184,14 +184,14 @@ func (in *Interp) jitCompile(e *jitEntry) {
 	in.jfns = jc.fns
 	in.jcost = jc.cost
 	in.stats.JITCompiles++
-	if in.rec != nil {
+	if r := in.vm.obs().Recorder(); r != nil {
 		h := in.vm.H
 		name := ""
 		if sel := h.Fetch(e.method, CMSelector); sel != object.Nil && sel.IsPtr() &&
 			h.Header(sel).Format() == object.FmtBytes {
 			name = string(h.Bytes(sel))
 		}
-		in.rec.Emit(trace.KJITCompile, in.p.ID(), int64(in.p.Now()), int64(jc.n), 0, name)
+		r.Emit(trace.KJITCompile, in.p.ID(), int64(in.p.Now()), int64(jc.n), 0, name)
 	}
 }
 
@@ -279,8 +279,8 @@ func (in *Interp) jitActivate(method object.OOP, nargs int) bool {
 			}
 		}
 	}
-	if vm.prof != nil {
-		in.profSync()
+	if pf := vm.obs().Profiler(); pf != nil {
+		in.profSync(pf)
 	}
 	return true
 }
@@ -294,9 +294,7 @@ func (in *Interp) jitDeopt(reason jit.DeoptReason) {
 	}
 	in.jfns = nil
 	in.stats.JITDeopts++
-	if in.rec != nil {
-		in.rec.Emit(trace.KJITDeopt, in.p.ID(), int64(in.p.Now()), int64(reason), 0, reason.String())
-	}
+	in.vm.obs().Event(in.p, trace.KJITDeopt, int64(reason), 0, reason.String())
 }
 
 // jitBlacklist pins a resident method to the interpreter. A method

@@ -33,42 +33,43 @@ func (vm *VM) ensureNameCaches() {
 	})
 }
 
-// EnableProfiler attaches a selector profiler to the VM. Call after boot
-// so image-build time is not charged; the per-processor busy baselines
-// are primed from the current clocks.
+// EnableProfiler starts a selector profiler in the machine's observer
+// bundle, which must be attached. Call after boot so image-build time
+// is not charged; the per-processor busy baselines are primed from the
+// current clocks.
 func (vm *VM) EnableProfiler() {
-	if vm.prof != nil {
+	o := vm.obs()
+	if o.Prof != nil {
 		return
 	}
-	vm.prof = trace.NewProfiler(vm.M.NumProcs())
+	pf := trace.NewProfiler(vm.M.NumProcs())
+	o.Prof = pf
 	vm.ensureNameCaches()
 	for i, in := range vm.Interps {
-		vm.prof.Prime(i, int64(in.p.Stats().Busy))
-		in.profSync()
+		pf.Prime(i, int64(in.p.Stats().Busy))
+		in.profSync(pf)
 	}
 }
 
-// EnableAllocProfiler attaches an allocation-site profiler: every heap
+// EnableAllocProfiler starts an allocation-site profiler in the
+// machine's observer bundle, which must be attached: every heap
 // allocation from here on is attributed to the executing
 // Class>>selector, and the scavenger follows each site's objects to
 // derive survivor and tenure rates. Call after boot so image-build
 // allocation is not attributed. Deterministic mode only (the core
 // config layer validates): the site lookup reads the per-processor
-// interpreter state mid-bytecode.
-func (vm *VM) EnableAllocProfiler() *trace.AllocProfiler {
-	if vm.allocProf != nil {
-		return vm.allocProf
+// interpreter state mid-bytecode, and the heap's site maps are
+// unguarded.
+func (vm *VM) EnableAllocProfiler() {
+	o := vm.obs()
+	if o.AllocProf != nil {
+		return
 	}
 	vm.ensureNameCaches()
-	vm.allocProf = trace.NewAllocProfiler()
 	vm.allocSiteIDs = map[object.OOP]int{}
 	vm.H.OnPreScavenge(func() { clear(vm.allocSiteIDs) })
-	vm.H.SetAllocProfiler(vm.allocProf, vm.allocSiteFor)
-	return vm.allocProf
+	o.AllocProf, o.AllocSite = trace.NewAllocProfiler(), vm.allocSiteFor
 }
-
-// AllocProfiler returns the attached allocation-site profiler, or nil.
-func (vm *VM) AllocProfiler() *trace.AllocProfiler { return vm.allocProf }
 
 // allocSiteFor resolves processor proc's current allocation site: the
 // compiled method its interpreter is executing, interned by method oop
@@ -80,31 +81,33 @@ func (vm *VM) allocSiteFor(proc int) int {
 	if proc >= 0 && proc < len(vm.Interps) {
 		method = vm.Interps[proc].method
 	}
+	ap := vm.obs().AllocProf
 	if !method.IsPtr() || method == object.Nil {
-		return vm.allocProf.SiteID("(vm)")
+		return ap.SiteID("(vm)")
 	}
 	if id, ok := vm.allocSiteIDs[method]; ok {
 		return id
 	}
-	id := vm.allocProf.SiteID(vm.methodName(method))
+	id := ap.SiteID(vm.methodName(method))
 	vm.allocSiteIDs[method] = id
 	return id
 }
 
-// Profiler returns the attached profiler, or nil.
-func (vm *VM) Profiler() *trace.Profiler { return vm.prof }
+// Profiler returns the running selector profiler, or nil.
+func (vm *VM) Profiler() *trace.Profiler { return vm.obs().Profiler() }
 
 // ProfilerFlush finalizes attribution at the processors' current busy
 // clocks; call when the machine is parked, before reading the report.
 func (vm *VM) ProfilerFlush() {
-	if vm.prof == nil {
+	pf := vm.Profiler()
+	if pf == nil {
 		return
 	}
 	busy := make([]int64, len(vm.Interps))
 	for i, in := range vm.Interps {
 		busy[i] = int64(in.p.Stats().Busy)
 	}
-	vm.prof.Flush(busy)
+	pf.Flush(busy)
 }
 
 // selName returns the Go string of a selector symbol, cached by oop.
@@ -148,10 +151,10 @@ func (vm *VM) methodName(method object.OOP) string {
 	return name
 }
 
-// profSync captures the current call chain and syncs the profiler.
+// profSync captures the current call chain and syncs the profiler pf.
 // Frames are collected innermost-first by walking sender/caller links,
 // then reversed to the outermost-first order Profiler.Sync expects.
-func (in *Interp) profSync() {
+func (in *Interp) profSync(pf *trace.Profiler) {
 	vm := in.vm
 	h := vm.H
 	frames := in.profFrames[:0]
@@ -179,11 +182,5 @@ func (in *Interp) profSync() {
 		frames[len(frames)-1] += jitFrameTag
 	}
 	in.profFrames = frames
-	vm.prof.Sync(in.p.ID(), frames, int64(in.p.Stats().Busy))
-}
-
-// profIdle marks the processor idle (empty stack) in the profiler; the
-// idle loop's own polling work accrues to the (idle) bucket.
-func (in *Interp) profIdle() {
-	in.vm.prof.Sync(in.p.ID(), nil, int64(in.p.Stats().Busy))
+	pf.Sync(in.p.ID(), frames, int64(in.p.Stats().Busy))
 }

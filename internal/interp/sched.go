@@ -28,19 +28,14 @@ func (vm *VM) readyList(priority int) object.OOP {
 	return vm.H.Fetch(lists, priority-1)
 }
 
-// sanAccess reports an access to a serialized interpreter structure to
-// the invariant checker; call it from inside the guarding critical
-// section.
-func (vm *VM) sanAccess(p *firefly.Proc, structure string) {
-	if s := vm.san; s != nil {
-		s.OnAccess(p.ID(), int64(p.Now()), structure)
-	}
-}
+// obs returns the machine's observer bundle, nil when every observer
+// is off.
+func (vm *VM) obs() *firefly.Observers { return vm.M.Observers() }
 
 // listAppend links proc at the tail of list. Caller holds the lock.
 func (vm *VM) listAppend(p *firefly.Proc, list, proc object.OOP) {
 	h := vm.H
-	vm.sanAccess(p, "ready-queue")
+	vm.obs().Access(p, "ready-queue")
 	p.Advance(vm.M.Costs().SchedOp)
 	h.Store(p, proc, PrMyList, list)
 	h.StoreNoCheck(proc, PrNextLink, object.Nil)
@@ -57,7 +52,7 @@ func (vm *VM) listAppend(p *firefly.Proc, list, proc object.OOP) {
 // Caller holds the lock.
 func (vm *VM) listRemove(p *firefly.Proc, list, proc object.OOP) bool {
 	h := vm.H
-	vm.sanAccess(p, "ready-queue")
+	vm.obs().Access(p, "ready-queue")
 	p.Advance(vm.M.Costs().SchedOp)
 	prev := object.Nil
 	cur := h.Fetch(list, LLFirst)
@@ -94,7 +89,7 @@ func (vm *VM) unlinkFromCurrentList(p *firefly.Proc, proc object.OOP) {
 // Processes stay on the queue and are skipped). Caller holds the lock.
 func (vm *VM) findReady(p *firefly.Proc) object.OOP {
 	h := vm.H
-	vm.sanAccess(p, "ready-queue")
+	vm.obs().Access(p, "ready-queue")
 	for pri := NumPriorities; pri >= 1; pri-- {
 		list := vm.readyList(pri)
 		cur := h.Fetch(list, LLFirst)
@@ -114,11 +109,9 @@ func (vm *VM) findReady(p *firefly.Proc) object.OOP {
 func (in *Interp) switchToProcess(proc object.OOP) {
 	vm := in.vm
 	in.stats.ProcessSwitches++
-	if in.rec != nil {
-		// The raw oop value identifies the Process; IdentityHash would
-		// lazily assign hash bits (a heap mutation) and so is off-limits.
-		in.rec.Emit(trace.KProcessSwitch, in.p.ID(), int64(in.p.Now()), int64(proc), 0, "")
-	}
+	// The raw oop value identifies the Process; IdentityHash would
+	// lazily assign hash bits (a heap mutation) and so is off-limits.
+	vm.obs().Event(in.p, trace.KProcessSwitch, int64(proc), 0, "")
 	in.p.Advance(vm.M.Costs().ProcessSwitch)
 	in.setProc(proc)
 	ctx := vm.H.Fetch(proc, PrSuspendedContext)
@@ -146,8 +139,10 @@ func (in *Interp) pickNext() {
 	if next == object.Nil {
 		in.setProc(object.Nil)
 		in.ctx = object.Nil
-		if in.vm.prof != nil {
-			in.profIdle()
+		if pf := in.vm.obs().Profiler(); pf != nil {
+			// The idle loop's own polling work accrues to the (idle)
+			// bucket.
+			pf.Sync(in.p.ID(), nil, int64(in.p.Stats().Busy))
 		}
 		return
 	}

@@ -38,14 +38,12 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 		vm.cacheLock.AcquireRead(in.p)
 		locked = true
 		cache = vm.sharedCache
-		vm.sanAccess(in.p, "shared-method-cache")
+		vm.obs().Access(in.p, "shared-method-cache")
 	} else {
 		cache = in.cache
-		if s := vm.san; s != nil {
-			// Replicated caches are a Table-3 replication row: each is
-			// only ever probed by its owning processor.
-			s.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "method-cache-replica")
-		}
+		// Replicated caches are a Table-3 replication row: each is only
+		// ever probed by its owning processor.
+		vm.obs().OwnedAccess(in.p, "method-cache-replica")
 	}
 	idx := cacheIndex(selector, class)
 	in.p.Advance(in.probeCost)
@@ -55,9 +53,7 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 			vm.cacheLock.ReleaseRead(in.p)
 		}
 		in.stats.CacheHits++
-		if in.rec != nil {
-			in.rec.Emit(trace.KCacheHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-		}
+		vm.obs().Event(in.p, trace.KCacheHit, 0, 0, "")
 		return m, prim, true
 	}
 	if in.twoWay {
@@ -70,9 +66,7 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 				vm.cacheLock.ReleaseRead(in.p)
 			}
 			in.stats.CacheHits++
-			if in.rec != nil {
-				in.rec.Emit(trace.KCacheHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-			}
+			vm.obs().Event(in.p, trace.KCacheHit, 0, 0, "")
 			return m, prim, true
 		}
 	}
@@ -80,8 +74,8 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 		vm.cacheLock.ReleaseRead(in.p)
 	}
 	in.stats.CacheMisses++
-	if in.rec != nil {
-		in.rec.Emit(trace.KCacheMiss, in.p.ID(), int64(in.p.Now()), 0, 0, in.selName(selector))
+	if r := vm.obs().Recorder(); r != nil {
+		r.Emit(trace.KCacheMiss, in.p.ID(), int64(in.p.Now()), 0, 0, in.selName(selector))
 	}
 
 	method, ok := in.walkLookup(class, selector)
@@ -95,7 +89,7 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 	}
 	if in.sharedLocked {
 		vm.cacheLock.AcquireWrite(in.p)
-		vm.sanAccess(in.p, "shared-method-cache")
+		vm.obs().Access(in.p, "shared-method-cache")
 		vm.sharedCache[idx] = mcEntry{selector, class, method, prim}
 		vm.cacheLock.ReleaseWrite(in.p)
 	} else {
@@ -165,8 +159,8 @@ func (in *Interp) send(selector object.OOP, nargs int, super bool, sitePC int) {
 func (in *Interp) sendWithSite(selector object.OOP, nargs int, super bool, site *icSite) {
 	vm := in.vm
 	in.stats.Sends++
-	if in.rec != nil {
-		in.rec.Emit(trace.KSend, in.p.ID(), int64(in.p.Now()), int64(nargs), 0, in.selName(selector))
+	if r := vm.obs().Recorder(); r != nil {
+		r.Emit(trace.KSend, in.p.ID(), int64(in.p.Now()), int64(nargs), 0, in.selName(selector))
 	}
 	in.p.Advance(in.costs.SendExtra)
 
@@ -190,14 +184,12 @@ func (in *Interp) sendWithSite(selector object.OOP, nargs int, super bool, site 
 		in.p.Advance(in.costs.ICProbe)
 		if m, p, ok := site.probe(class); ok {
 			in.stats.ICHits++
-			if in.rec != nil {
-				in.rec.Emit(trace.KICHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-			}
+			vm.obs().Event(in.p, trace.KICHit, 0, 0, "")
 			method, prim, hit = m, p, true
 		} else {
 			in.stats.ICMisses++
-			if in.rec != nil {
-				in.rec.Emit(trace.KICMiss, in.p.ID(), int64(in.p.Now()), 0, 0, in.selName(selector))
+			if r := vm.obs().Recorder(); r != nil {
+				r.Emit(trace.KICMiss, in.p.ID(), int64(in.p.Now()), 0, 0, in.selName(selector))
 			}
 			fillSite = site
 		}
@@ -215,9 +207,7 @@ func (in *Interp) sendWithSite(selector object.OOP, nargs int, super bool, site 
 	}
 	if prim > 0 {
 		in.stats.Primitives++
-		if in.rec != nil {
-			in.rec.Emit(trace.KPrimitive, in.p.ID(), int64(in.p.Now()), int64(prim), 0, "")
-		}
+		vm.obs().Event(in.p, trace.KPrimitive, int64(prim), 0, "")
 		in.p.Advance(in.costs.PrimBase)
 		if in.callPrimitive(prim, nargs) {
 			return
@@ -405,21 +395,17 @@ func (in *Interp) recycleContext(ctx object.OOP) {
 			which = 1
 		}
 		vm.freeLock.Acquire(in.p)
-		vm.sanAccess(in.p, "shared-free-contexts")
+		vm.obs().Access(in.p, "shared-free-contexts")
 		if len(vm.sharedFreeCtx[which]) < freeListMax {
 			vm.sharedFreeCtx[which] = append(vm.sharedFreeCtx[which], ctx)
-			if in.rec != nil {
-				in.rec.Emit(trace.KCtxRecycle, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-			}
+			vm.obs().Event(in.p, trace.KCtxRecycle, 0, 0, "")
 		}
 		vm.freeLock.Release(in.p)
 		return
 	}
-	if s := vm.san; s != nil {
-		// Per-processor free context lists are a Table-3 replication
-		// row (the paper's fix for the 160% worst-case overhead).
-		s.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "free-contexts-replica")
-	}
+	// Per-processor free context lists are a Table-3 replication row
+	// (the paper's fix for the 160% worst-case overhead).
+	vm.obs().OwnedAccess(in.p, "free-contexts-replica")
 	if large {
 		if len(in.freeLarge) < freeListMax {
 			in.freeLarge = append(in.freeLarge, ctx)
@@ -430,9 +416,7 @@ func (in *Interp) recycleContext(ctx object.OOP) {
 		}
 	}
 	in.stats.ContextsRecycled++
-	if in.rec != nil {
-		in.rec.Emit(trace.KCtxRecycle, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-	}
+	vm.obs().Event(in.p, trace.KCtxRecycle, 0, 0, "")
 }
 
 // allocContext takes a method context from the free list or the heap.
@@ -446,7 +430,7 @@ func (in *Interp) allocContext(large bool) object.OOP {
 			which = 1
 		}
 		vm.freeLock.Acquire(in.p)
-		vm.sanAccess(in.p, "shared-free-contexts")
+		vm.obs().Access(in.p, "shared-free-contexts")
 		list := vm.sharedFreeCtx[which]
 		if n := len(list); n > 0 {
 			ctx := list[n-1]
@@ -473,9 +457,7 @@ func (in *Interp) allocContext(large bool) object.OOP {
 		slots = LargeCtxSlots
 	}
 	in.stats.ContextsAlloc++
-	if in.rec != nil {
-		in.rec.Emit(trace.KCtxAlloc, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-	}
+	vm.obs().Event(in.p, trace.KCtxAlloc, 0, 0, "")
 	return vm.H.Allocate(in.p, vm.Specials.MethodContext,
 		CtxFixed+slots, object.FmtPointers)
 }

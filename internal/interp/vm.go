@@ -23,8 +23,6 @@ import (
 	"mst/internal/firefly"
 	"mst/internal/heap"
 	"mst/internal/object"
-	"mst/internal/sanitize"
-	"mst/internal/trace"
 )
 
 // CachePolicy selects the method-lookup cache organization.
@@ -418,20 +416,13 @@ type VM struct {
 	// layer; used by primitive 139).
 	snapshotFunc SnapshotFunc
 
-	// Profiler state (see profile.go): prof is nil unless EnableProfiler
-	// was called; the name caches map oops to rendered Go strings and
-	// are flushed before every scavenge because oops move. allocProf
-	// and its method-oop→site-id cache are the allocation-site
-	// profiler's state, nil unless EnableAllocProfiler was called.
-	prof          *trace.Profiler
+	// Profiler name caches (see profile.go): they map oops to rendered
+	// Go strings and allocation-site ids, and are flushed before every
+	// scavenge because oops move. All stay nil until a profiler is
+	// enabled.
 	methodNames   map[object.OOP]string
 	selectorNames map[object.OOP]string
-	allocProf     *trace.AllocProfiler
 	allocSiteIDs  map[object.OOP]int
-
-	// san is the machine's invariant checker (nil when sanitizing is
-	// off), cached like each interpreter's rec.
-	san *sanitize.Checker
 
 	// par mirrors Cfg.Parallel. The three host mutexes below are pure
 	// host machinery (they never touch virtual time, so the sanitizer's
@@ -475,24 +466,22 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		cacheLock: m.NewRWSpinlock("method-cache", cfg.MSMode && cfg.MethodCache == CacheSharedLocked),
 		freeLock:  m.NewSpinlock("free-contexts", cfg.MSMode && cfg.FreeContexts == FreeCtxSharedLocked),
 		symbolIdx: map[string]int{},
-		san:       m.Sanitizer(),
 		par:       cfg.Parallel,
 	}
 	if cfg.MethodCache == CacheSharedLocked {
 		vm.sharedCache = new([cacheSize]mcEntry)
 	}
-	if vm.san != nil {
-		// Table-3 serialization rows owned by the interpreter: the
-		// shared ready queue always; the shared method cache and shared
-		// free context lists only under their serialized policies (the
-		// replicated defaults are validated by ownership hooks instead).
-		vm.san.RegisterGuard("ready-queue", "scheduler")
-		if cfg.MethodCache == CacheSharedLocked {
-			vm.san.RegisterGuard("shared-method-cache", "method-cache")
-		}
-		if cfg.FreeContexts == FreeCtxSharedLocked {
-			vm.san.RegisterGuard("shared-free-contexts", "free-contexts")
-		}
+	// Table-3 serialization rows owned by the interpreter: the shared
+	// ready queue always; the shared method cache and shared free
+	// context lists only under their serialized policies (the
+	// replicated defaults are validated by ownership hooks instead).
+	obs := m.Observers()
+	obs.RegisterGuard("ready-queue", "scheduler")
+	if cfg.MethodCache == CacheSharedLocked {
+		obs.RegisterGuard("shared-method-cache", "method-cache")
+	}
+	if cfg.FreeContexts == FreeCtxSharedLocked {
+		obs.RegisterGuard("shared-free-contexts", "free-contexts")
 	}
 
 	// Register roots.

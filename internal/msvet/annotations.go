@@ -36,11 +36,17 @@ import (
 //	                                       the barrier funnel itself, or
 //	                                       a writer of fresh unpublished
 //	                                       memory.
+//	//msvet:read-only [why]        (func)  never writes heap words, not
+//	                                       even inside the STW window
+//	                                       (the write-barrier verifiers);
+//	                                       barrierflow reports any raw
+//	                                       store in its body.
 const (
 	annStwEntry       = "stw-entry"
 	annStwSafe        = "stw-safe"
 	annAtomicExcluded = "atomic-excluded"
 	annHeapWriter     = "heap-writer"
+	annReadOnly       = "read-only"
 )
 
 // Annotation is one parsed //msvet: directive.
@@ -59,6 +65,7 @@ type Annotations struct {
 	StwSafeField   map[*types.Var]string
 	AtomicExcluded map[*types.Func]string
 	HeapWriter     map[*types.Func]string
+	ReadOnly       map[*types.Func]string
 	All            []Annotation // sorted by position, for -v
 }
 
@@ -79,6 +86,7 @@ func collectAnnotations(m *Module) *Annotations {
 		StwSafeField:   map[*types.Var]string{},
 		AtomicExcluded: map[*types.Func]string{},
 		HeapWriter:     map[*types.Func]string{},
+		ReadOnly:       map[*types.Func]string{},
 	}
 	addFunc := func(fd *ast.FuncDecl) {
 		fn, _ := m.Info.Defs[fd.Name].(*types.Func)
@@ -99,6 +107,8 @@ func collectAnnotations(m *Module) *Annotations {
 				ann.AtomicExcluded[fn] = just
 			case annHeapWriter:
 				ann.HeapWriter[fn] = just
+			case annReadOnly:
+				ann.ReadOnly[fn] = just
 			default:
 				continue
 			}

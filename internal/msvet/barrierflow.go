@@ -5,8 +5,8 @@ import (
 	"go/token"
 )
 
-// barrierflow: flow-based replacement for heapwrite's old file
-// allowlist. The invariant: every store of a word into object memory
+// barrierflow: the heap-store discipline. The invariant: every store of
+// a word into object memory
 // (`X.mem[i] = v`, `copy(X.mem[...], ...)`, atomic stores/CAS on
 // `&X.mem[i]`) must reach the write barrier's store check — which in
 // this codebase means the store must sit in one of exactly two kinds
@@ -20,12 +20,17 @@ import (
 //     collector moves objects wholesale.
 //
 // Everything else is a finding, *wherever* the store lexically lives —
-// a helper function can no longer launder an unbarriered store past a
-// file- or package-level allowlist, because the check is per function
-// over the call-graph-derived STW set, not per file. When the
+// a helper function cannot launder an unbarriered store past a file-
+// or package-level allowlist, because the check is per function over
+// the call-graph-derived STW set, not per file. When the
 // offending function is reachable from an exported entry point the
 // message names one such path root, which is the smoking gun for
 // mutator-visible barrier bypass.
+//
+// One rule is stricter than the STW exemption: a //msvet:read-only
+// function may not store a heap word at all. The write-barrier
+// verifiers run inside the STW window, where collector stores are
+// legal, but a verifier that writes would perturb what it checks.
 //
 // Soundness: function granularity, not per-store def-use chains — a
 // function that both zeroes fresh memory and stores mutator-visible
@@ -43,6 +48,14 @@ var BarrierflowAnalyzer = &Analyzer{
 		for _, node := range m.Graph().Nodes {
 			stores := rawMemStores(m, node)
 			if len(stores) == 0 {
+				continue
+			}
+			if _, ok := m.Ann.ReadOnly[node.Fn]; ok {
+				for _, s := range stores {
+					pass.Reportf(s.pos,
+						"raw heap store %s: %s is //msvet:read-only and must not write heap memory, even inside the STW window",
+						s.expr, funcDisplayName(node.Fn))
+				}
 				continue
 			}
 			if _, ok := m.Ann.HeapWriter[node.Fn]; ok {
@@ -120,6 +133,40 @@ func rawMemStores(m *Module, node *FuncNode) []rawStore {
 		return true
 	})
 	return out
+}
+
+// memTarget reports whether e is an index into a `.mem` field
+// (or a local named mem).
+func memTarget(e ast.Expr) bool {
+	idx, ok := e.(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	return isMemExpr(idx.X)
+}
+
+// memSlice reports whether e slices or names heap memory
+// (`X.mem[a:b]`, `X.mem`).
+func memSlice(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.SliceExpr:
+		return isMemExpr(e.X)
+	case *ast.IndexExpr:
+		return isMemExpr(e.X)
+	default:
+		return isMemExpr(e)
+	}
+}
+
+func isMemExpr(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		return e.Sel.Name == "mem"
+	case *ast.Ident:
+		return e.Name == "mem"
+	default:
+		return false
+	}
 }
 
 // atomicStoresArg reports whether the named sync/atomic function

@@ -112,6 +112,22 @@ func TestBarrierflowFixtureCleanTwin(t *testing.T) {
 	}
 }
 
+func TestBarrierflowFixtureFlagsReadOnlyWrite(t *testing.T) {
+	got := fixtureFindings(t, BarrierflowAnalyzer, "readonly_bad")
+	// The verifier runs inside Scavenge's STW window, where the
+	// collector's own store is legal; its read-only annotation is what
+	// makes its store a finding.
+	wantFixtureFinding(t, got, 36, 4,
+		"raw heap store h.mem[...]", "fixture.*Heap.verify is //msvet:read-only")
+}
+
+func TestBarrierflowFixtureReadOnlyCleanTwin(t *testing.T) {
+	got := fixtureFindings(t, BarrierflowAnalyzer, "readonly_ok")
+	if len(got) != 0 {
+		t.Fatalf("clean twin has findings: %v", got)
+	}
+}
+
 // ---- lockorder ----
 
 func TestLockorderFixtureFlagsCycle(t *testing.T) {
@@ -177,7 +193,7 @@ func TestAnnotationsCollected(t *testing.T) {
 // ---- full suite over the clean twins ----
 
 func TestFullSuiteCleanOnOkFixtures(t *testing.T) {
-	for _, fixture := range []string{"stwsafe_ok", "atomicguard_ok", "barrierflow_ok", "lockorder_ok"} {
+	for _, fixture := range []string{"stwsafe_ok", "atomicguard_ok", "barrierflow_ok", "readonly_ok", "lockorder_ok"} {
 		findings, err := RunSuite(loadFixture(t, fixture), Analyzers())
 		if err != nil {
 			t.Fatalf("RunSuite(%s): %v", fixture, err)

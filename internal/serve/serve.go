@@ -260,7 +260,8 @@ func (e *execState) tenantStats(id int) *TenantStats {
 // processor. Every scheduling decision reads only executor-local state
 // and tenant sessions owned by this executor, so the routine is
 // identical in deterministic and parallel host modes.
-func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder) {
+func (s *Server) runExecutor(p *firefly.Proc, e *execState) {
+	obs := p.Machine().Observers()
 	for _, a := range e.arrivals {
 		if p.Stopped() {
 			return
@@ -275,9 +276,7 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 		if backlog(e.done, at) >= s.cfg.QueueDepth {
 			e.rejected++
 			ts.Rejected++
-			if rec != nil {
-				rec.Emit(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 0, "")
-			}
+			obs.Trace(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 0, "")
 			continue
 		}
 		if backlog(e.tenantDone[a.Tenant], at) >= s.cfg.TenantShare {
@@ -285,9 +284,7 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 			e.rejShare++
 			ts.Rejected++
 			ts.RejectedShare++
-			if rec != nil {
-				rec.Emit(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 1, "")
-			}
+			obs.Trace(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 1, "")
 			continue
 		}
 
@@ -333,10 +330,8 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 		if int64(lat) > ts.LatencyMax {
 			ts.LatencyMax = int64(lat)
 		}
-		if rec != nil {
-			rec.Emit(trace.KServeStart, p.ID(), int64(start), int64(a.Tenant), int64(start-at), kindName)
-			rec.Emit(trace.KServeDone, p.ID(), int64(doneAt), int64(a.Tenant), int64(lat), "")
-		}
+		obs.Trace(trace.KServeStart, p.ID(), int64(start), int64(a.Tenant), int64(start-at), kindName)
+		obs.Trace(trace.KServeDone, p.ID(), int64(doneAt), int64(a.Tenant), int64(lat), "")
 		// Quantum boundary: in the deterministic mode the front-end
 		// driver resumes the executor with the smallest clock next, so
 		// executors interleave in virtual-time order.
@@ -370,18 +365,18 @@ func (s *Server) Run(arrivals []loadgen.Arrival) (*Report, error) {
 	// functions are one-shot); the tenant sessions — the expensive part
 	// — persist on the server.
 	front := firefly.New(s.cfg.Executors, firefly.DefaultCosts())
-	var rec *trace.Recorder
 	if s.cfg.TraceEvents > 0 {
+		obs := &firefly.Observers{}
 		if s.cfg.Parallel {
-			rec = trace.NewShardedRecorder(s.cfg.TraceEvents, s.cfg.Executors)
+			obs.Rec = trace.NewShardedRecorder(s.cfg.TraceEvents, s.cfg.Executors)
 		} else {
-			rec = trace.NewRecorder(s.cfg.TraceEvents)
+			obs.Rec = trace.NewRecorder(s.cfg.TraceEvents)
 		}
-		front.SetRecorder(rec)
+		front.Observe(obs)
 	}
 	for i := 0; i < s.cfg.Executors; i++ {
 		e := execs[i]
-		front.Start(i, func(p *firefly.Proc) { s.runExecutor(p, e, rec) })
+		front.Start(i, func(p *firefly.Proc) { s.runExecutor(p, e) })
 	}
 	if s.cfg.Parallel {
 		front.SetParallel(true)
@@ -396,7 +391,7 @@ func (s *Server) Run(arrivals []loadgen.Arrival) (*Report, error) {
 			return nil, e.evalErr
 		}
 	}
-	return s.report(arrivals, execs, rec), nil
+	return s.report(arrivals, execs, front.Recorder()), nil
 }
 
 // report merges the executor-local accumulators into one Report.

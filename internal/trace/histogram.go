@@ -223,9 +223,8 @@ func (c GCCriticalPath) Efficiency() float64 {
 }
 
 // LatencyHists is the registry of virtual-time latency distributions.
-// Attach one to the machine (Machine.SetLatencyHists) before boot;
-// instrumented layers record into it through nil-guarded hooks, so a
-// detached registry costs one pointer test per site.
+// It rides the machine's observer bundle (firefly.Observers), attached
+// before boot; a machine without it pays one pointer test per site.
 type LatencyHists struct {
 	ScavengePause  Histogram // full STW pause per scavenge
 	ScavRendezvous Histogram // pause share: stopping/synchronizing processors
